@@ -1,5 +1,5 @@
-//! Experiment runner: regenerates every table of EXPERIMENTS.md, drives the
-//! scenario registry, and emits the machine-readable `BENCH_*.json` files.
+//! Experiment runner: prints every experiment table, drives the scenario
+//! registry, and emits the machine-readable `BENCH_*.json` files.
 //!
 //! ```sh
 //! cargo run --release -p hybrid-bench --bin experiments -- all
@@ -15,8 +15,12 @@
 //! cargo run --release -p hybrid-bench --bin experiments -- --smoke --trace traces/
 //! cargo run --release -p hybrid-bench --bin experiments -- --serve
 //! cargo run --release -p hybrid-bench --bin experiments -- --serve --smoke
+//! cargo run --release -p hybrid-bench --bin experiments -- --help
 //! ```
 //!
+//! * `--help` prints the usage and exits. An unknown flag or experiment id,
+//!   or a flag the selected mode would not consult, prints the reason and
+//!   the usage and exits with status 2.
 //! * `--list` prints the scenario registry (names, tags, families, faults).
 //! * `--smoke` runs the full registry (or the `--filter <tag>` subset) at
 //!   tiny `n` with golden verification, then the chaos recovery sweep
@@ -55,94 +59,183 @@
 //!   accounting leak, missing degraded service under chaos, or schema
 //!   violation — the serving CI gate.
 
+use std::path::PathBuf;
+
 use hybrid_bench::experiments as ex;
 use hybrid_bench::{json, Scale};
-use hybrid_scenarios::registry;
+use hybrid_scenarios::{registry, Engine};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = if args.iter().any(|a| a == "--small") {
+const USAGE: &str = "\
+usage: experiments [--small | --large] [--json] [--filter TAG] [EXPERIMENT...]
+       experiments --smoke [--via-session] [--filter TAG] [--trace DIR] [--json]
+       experiments --serve [--small | --large | --smoke]
+       experiments --trace DIR
+       experiments --list
+       experiments --help
+
+EXPERIMENT is one of e1 .. e16, or `all` (the default when none is given).
+See the crate docs of `src/bin/experiments.rs` for what each mode does.";
+
+type Runner = fn(Scale) -> hybrid_bench::table::Table;
+
+/// The experiment tables, by id.
+const RUNS: [(&str, Runner); 16] = [
+    ("e1", ex::e1_token_routing),
+    ("e2", ex::e2_apsp),
+    ("e3", ex::e3_kssp),
+    ("e4", ex::e4_sssp),
+    ("e5", ex::e5_diameter),
+    ("e6", ex::e6_kssp_lower_bound),
+    ("e7", ex::e7_diameter_lower_bound),
+    ("e8", ex::e8_helper_sets),
+    ("e9", ex::e9_ruling_sets),
+    ("e10", ex::e10_skeletons),
+    ("e11", ex::e11_congestion),
+    ("e12", ex::e12_clique_sim),
+    ("e13", ex::e13_xi_ablation),
+    ("e14", ex::e14_mu_ablation),
+    ("e15", ex::e15_gamma_ablation),
+    ("e16", ex::e16_scenarios),
+];
+
+/// What the command line asks for.
+#[derive(Debug, PartialEq)]
+enum Command {
+    /// `--help`: print [`USAGE`] and exit successfully.
+    Help,
+    /// Run the selected mode.
+    Run(Options),
+}
+
+/// A validated command line.
+#[derive(Debug, PartialEq)]
+struct Options {
+    scale: Scale,
+    emit_json: bool,
+    list: bool,
+    smoke: bool,
+    serve: bool,
+    engine: Engine,
+    filter: Option<String>,
+    trace_dir: Option<PathBuf>,
+    /// Experiment ids (or `all`), in command-line order.
+    wanted: Vec<String>,
+}
+
+/// Parses and validates the arguments (without the program name). Every
+/// argument must be understood and consulted by the selected mode; anything
+/// else is an error carrying the reason.
+fn parse_args(args: &[String]) -> Result<Command, String> {
+    let mut opts = Options {
+        scale: Scale::Full,
+        emit_json: false,
+        list: false,
+        smoke: false,
+        serve: false,
+        engine: Engine::Fresh,
+        filter: None,
+        trace_dir: None,
+        wanted: Vec::new(),
+    };
+    let (mut small, mut large) = (false, false);
+    let mut iter = args.iter();
+    while let Some(a) = iter.next() {
+        match a.as_str() {
+            "--help" | "-h" => return Ok(Command::Help),
+            "--small" => small = true,
+            "--large" => large = true,
+            "--json" => opts.emit_json = true,
+            "--list" => opts.list = true,
+            "--smoke" => opts.smoke = true,
+            "--serve" => opts.serve = true,
+            "--via-session" => opts.engine = Engine::Session,
+            "--filter" => {
+                let tag = iter.next().ok_or(
+                    "--filter requires a tag (see --list for the registry's tags)".to_string(),
+                )?;
+                opts.filter = Some(tag.clone());
+            }
+            "--trace" => {
+                let dir = iter.next().ok_or(
+                    "--trace requires an output directory for the trace/rollup files".to_string(),
+                )?;
+                opts.trace_dir = Some(PathBuf::from(dir));
+            }
+            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
+            id if id == "all" || RUNS.iter().any(|(known, _)| *known == id) => {
+                opts.wanted.push(id.to_string());
+            }
+            id => return Err(format!("unknown experiment id {id}")),
+        }
+    }
+    // `--small` wins over `--large`.
+    opts.scale = if small {
         Scale::Small
-    } else if args.iter().any(|a| a == "--large") {
+    } else if large {
         Scale::Large
     } else {
         Scale::Full
     };
-    let emit_json = args.iter().any(|a| a == "--json");
-    let list = args.iter().any(|a| a == "--list");
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let engine = if args.iter().any(|a| a == "--via-session") {
-        hybrid_scenarios::Engine::Session
-    } else {
-        hybrid_scenarios::Engine::Fresh
-    };
     // Like a dangling --filter: a flag no code path will consult must error,
     // not silently run the Fresh engine.
-    if engine == hybrid_scenarios::Engine::Session && !smoke {
-        eprintln!("--via-session applies to --smoke runs only; nothing here consults it");
-        std::process::exit(2);
+    if opts.engine == Engine::Session && !opts.smoke {
+        return Err("--via-session applies to --smoke runs only; nothing here consults it".into());
     }
-    // One pass: `--filter` and `--trace` consume the following value,
-    // everything else without a `--` prefix is an experiment id.
-    let mut filter: Option<String> = None;
-    let mut filter_flag = false;
-    let mut trace_dir: Option<std::path::PathBuf> = None;
-    let mut trace_flag = false;
-    let mut wanted: Vec<&str> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        if a == "--filter" {
-            filter_flag = true;
-            filter = iter.next().map(|s| s.to_string());
-        } else if a == "--trace" {
-            trace_flag = true;
-            trace_dir = iter.next().map(std::path::PathBuf::from);
-        } else if !a.starts_with("--") {
-            wanted.push(a.as_str());
-        }
-    }
-    if filter_flag && filter.is_none() {
-        eprintln!("--filter requires a tag (see --list for the registry's tags)");
-        std::process::exit(2);
-    }
-    if trace_flag && trace_dir.is_none() {
-        eprintln!("--trace requires an output directory for the trace/rollup files");
-        std::process::exit(2);
-    }
-    // `--trace` without `--smoke` is its own mode (trace the E2 workload plus
-    // one chaos scenario, then exit); experiment ids or `--json` alongside it
-    // would be silently ignored, so they must error like any unconsulted flag.
-    if trace_dir.is_some() && !smoke && (!wanted.is_empty() || emit_json || list) {
-        eprintln!("--trace combines only with --smoke; alone it traces the E2 workload and one chaos scenario");
-        std::process::exit(2);
-    }
-    // A filter that no code path will consult must error, not silently gate
-    // nothing: it applies to --smoke and to the e16 scenario matrix.
-    let runs_e16 =
-        wanted.contains(&"e16") || wanted.contains(&"all") || (wanted.is_empty() && !emit_json);
-    if filter.is_some() && !smoke && !list && !runs_e16 {
-        eprintln!("--filter applies to --smoke and e16 runs only; nothing here consults it");
-        std::process::exit(2);
-    }
-
     // `--serve`: the closed-loop broker sweep is its own mode; every flag it
     // doesn't consult (experiment ids, --trace, --filter, --via-session,
     // --list, --json — it always writes its JSON) must error, not silently
     // do nothing.
-    if args.iter().any(|a| a == "--serve") {
-        if !wanted.is_empty()
-            || trace_flag
-            || filter_flag
-            || list
-            || emit_json
-            || engine != hybrid_scenarios::Engine::Fresh
-        {
-            eprintln!(
-                "--serve combines only with --small/--large/--smoke; it always writes \
-                 BENCH_serving.json"
-            );
+    if opts.serve
+        && (!opts.wanted.is_empty()
+            || opts.trace_dir.is_some()
+            || opts.filter.is_some()
+            || opts.list
+            || opts.emit_json
+            || opts.engine != Engine::Fresh)
+    {
+        return Err("--serve combines only with --small/--large/--smoke; it always writes \
+                    BENCH_serving.json"
+            .into());
+    }
+    // `--trace` without `--smoke` is its own mode (trace the E2 workload plus
+    // one chaos scenario, then exit); experiment ids or `--json` alongside it
+    // would be silently ignored, so they must error like any unconsulted flag.
+    if opts.trace_dir.is_some()
+        && !opts.smoke
+        && (!opts.wanted.is_empty() || opts.emit_json || opts.list)
+    {
+        return Err("--trace combines only with --smoke; alone it traces the E2 workload and \
+                    one chaos scenario"
+            .into());
+    }
+    // A filter that no code path will consult must error, not silently gate
+    // nothing: it applies to --smoke and to the e16 scenario matrix.
+    let runs_e16 = opts.wanted.iter().any(|w| w == "e16" || w == "all")
+        || (opts.wanted.is_empty() && !opts.emit_json);
+    if opts.filter.is_some() && !opts.smoke && !opts.list && !runs_e16 {
+        return Err(
+            "--filter applies to --smoke and e16 runs only; nothing here consults it".into()
+        );
+    }
+    Ok(Command::Run(opts))
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let opts = match parse_args(&args) {
+        Ok(Command::Run(opts)) => opts,
+        Ok(Command::Help) => {
+            println!("{USAGE}");
+            return;
+        }
+        Err(reason) => {
+            eprintln!("error: {reason}\n\n{USAGE}");
             std::process::exit(2);
         }
+    };
+    let Options { scale, emit_json, list, smoke, serve, engine, filter, trace_dir, wanted } = opts;
+
+    if serve {
         let serve_scale = if smoke { Scale::Small } else { scale };
         let scale_name = match serve_scale {
             Scale::Small => "small",
@@ -370,30 +463,11 @@ fn main() {
         return;
     }
 
-    type Runner = fn(Scale) -> hybrid_bench::table::Table;
     // `--json` alone means "just the JSON sweep"; any experiment id (or `all`)
     // still runs the tables.
-    let all = wanted.contains(&"all") || (wanted.is_empty() && !emit_json);
-    let runs: Vec<(&str, Runner)> = vec![
-        ("e1", ex::e1_token_routing),
-        ("e2", ex::e2_apsp),
-        ("e3", ex::e3_kssp),
-        ("e4", ex::e4_sssp),
-        ("e5", ex::e5_diameter),
-        ("e6", ex::e6_kssp_lower_bound),
-        ("e7", ex::e7_diameter_lower_bound),
-        ("e8", ex::e8_helper_sets),
-        ("e9", ex::e9_ruling_sets),
-        ("e10", ex::e10_skeletons),
-        ("e11", ex::e11_congestion),
-        ("e12", ex::e12_clique_sim),
-        ("e13", ex::e13_xi_ablation),
-        ("e14", ex::e14_mu_ablation),
-        ("e15", ex::e15_gamma_ablation),
-        ("e16", ex::e16_scenarios),
-    ];
-    for (id, f) in runs {
-        if all || wanted.contains(&id) {
+    let all = wanted.iter().any(|w| w == "all") || (wanted.is_empty() && !emit_json);
+    for (id, f) in RUNS {
+        if all || wanted.iter().any(|w| w == id) {
             eprintln!("running {id}...");
             if id == "e16" && filter.is_some() {
                 ex::scenario_table(&ex::scenario_reports(scale, filter.as_deref())).print();
@@ -436,5 +510,52 @@ fn main() {
         std::fs::write(path, &doc).expect("write BENCH_churn.json");
         eprintln!("wrote {path}:");
         print!("{doc}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Command, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn help_is_its_own_command() {
+        assert_eq!(parse(&["--help"]), Ok(Command::Help));
+        assert_eq!(parse(&["--small", "-h"]), Ok(Command::Help));
+    }
+
+    #[test]
+    fn unknown_flags_and_ids_are_rejected() {
+        let err = parse(&["--small", "--frobnicate"]).unwrap_err();
+        assert!(err.contains("--frobnicate"), "{err}");
+        let err = parse(&["e99"]).unwrap_err();
+        assert!(err.contains("e99"), "{err}");
+    }
+
+    #[test]
+    fn known_arguments_parse() {
+        let Ok(Command::Run(opts)) = parse(&["--small", "e2", "e16", "--filter", "chaos"]) else {
+            panic!("valid command line rejected");
+        };
+        assert_eq!(opts.scale, Scale::Small);
+        assert_eq!(opts.wanted, ["e2", "e16"]);
+        assert_eq!(opts.filter.as_deref(), Some("chaos"));
+        let Ok(Command::Run(opts)) = parse(&["--smoke", "--via-session", "--trace", "t"]) else {
+            panic!("valid smoke command line rejected");
+        };
+        assert_eq!(opts.engine, Engine::Session);
+        assert_eq!(opts.trace_dir, Some(PathBuf::from("t")));
+    }
+
+    #[test]
+    fn unconsulted_flags_are_rejected() {
+        assert!(parse(&["--via-session"]).is_err());
+        assert!(parse(&["--serve", "--json"]).is_err());
+        assert!(parse(&["--trace", "t", "e2"]).is_err());
+        assert!(parse(&["--json", "--filter", "chaos"]).is_err());
+        assert!(parse(&["--filter"]).is_err());
     }
 }

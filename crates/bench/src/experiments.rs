@@ -1,5 +1,5 @@
-//! The experiment runners E1–E16 (DESIGN.md §5). Each returns a printable
-//! table; EXPERIMENTS.md records the output of the `experiments` binary.
+//! The experiment runners E1–E16. Each returns a printable table, which the
+//! `experiments` binary prints.
 //!
 //! Workload construction is delegated to the scenario engine
 //! (`hybrid_scenarios`): the shared helpers in
@@ -37,9 +37,9 @@ use crate::table::{f3, Table};
 /// sample-verified there to keep one distance matrix in memory at a time).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Fast sizes for benches and smoke runs.
+    /// Fast sizes for CI and smoke runs.
     Small,
-    /// The sizes recorded in EXPERIMENTS.md.
+    /// The default sizes of the `experiments` binary.
     Full,
     /// The extended n≤3200 sweeps (`experiments --large`).
     Large,
@@ -698,7 +698,6 @@ pub fn bench_apsp_records(scale: Scale) -> Vec<crate::json::BenchRecord> {
     // is timed `RUNS` times and the minimum recorded, filtering scheduler
     // noise without changing the measured workload.
     const RUNS: usize = 3;
-    let threads = hybrid_sim::par::round_threads();
     let thm11 = Query::apsp().xi(1.5).build().expect("valid");
     let soda20 = Query::apsp().variant(ApspVariant::Soda20).xi(1.5).build().expect("valid");
     let mut records = Vec::new();
@@ -714,16 +713,14 @@ pub fn bench_apsp_records(scale: Scale) -> Vec<crate::json::BenchRecord> {
                 let mut net = HybridNet::new(&g, HybridConfig::default());
                 solve(&mut net, &thm11, 5).expect("apsp").rounds
             })
-            .with_query(thm11.label())
-            .with_threads(threads),
+            .with_query(thm11.label()),
         );
         records.push(
             BenchRecord::measure_min_of("soda20_apsp", n, RUNS, || {
                 let mut net = HybridNet::new(&g, HybridConfig::default());
                 solve(&mut net, &soda20, 5).expect("apsp baseline").rounds
             })
-            .with_query(soda20.label())
-            .with_threads(threads),
+            .with_query(soda20.label()),
         );
     }
     records
@@ -1442,8 +1439,6 @@ mod tests {
                 "soda20_apsp" => assert_eq!(r.query.as_deref(), Some("apsp-soda20")),
                 _ => assert_eq!(r.query, None),
             }
-            // Simulator-backed records carry the round-engine budget.
-            assert_eq!(r.threads.is_some(), r.query.is_some(), "{}", r.bench);
         }
     }
 

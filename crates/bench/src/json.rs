@@ -30,10 +30,6 @@ pub struct BenchRecord {
     /// Canonical solver query label (`Query::label()`) for records produced
     /// through the solver facade; `None` for sequential reference code.
     pub query: Option<String>,
-    /// Round-engine worker budget (`HYBRID_ROUND_THREADS` /
-    /// `HybridNet::round_threads`) the run executed under; `None` for
-    /// records that never touch the simulator.
-    pub threads: Option<usize>,
     /// Registry scenario name, for scenario-engine records.
     pub scenario: Option<String>,
     /// Scenario root seed.
@@ -182,14 +178,6 @@ impl BenchRecord {
         self
     }
 
-    /// Attaches the round-engine worker budget the run executed under
-    /// (builder-style).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
     /// Attaches throughput-sweep fields: graph family, batch size, and
     /// queries per second (builder-style).
     #[must_use]
@@ -246,8 +234,10 @@ impl BenchRecord {
 /// v2: records produced through the solver facade carry the canonical
 /// `"query"` label. v3: simulator-backed records carry the round-engine
 /// `"threads"` budget, and wall clocks are the minimum of N interleaved runs.
-/// v4: measured records carry best-effort `"peak_rss_bytes"`.
-pub const SCHEMA: &str = "hybrid-bench/apsp-v4";
+/// v4: measured records carry best-effort `"peak_rss_bytes"`. v5: the
+/// `"threads"` field is gone with the thread-sharded round engine it
+/// reported.
+pub const SCHEMA: &str = "hybrid-bench/apsp-v5";
 
 /// Schema tag of scenario-engine records. v2: every record additionally
 /// carries the run's `"trace_events"` count and (when anything was charged)
@@ -311,9 +301,6 @@ pub fn render_with_schema(schema: &str, scale: &str, records: &[BenchRecord]) ->
         );
         if let Some(query) = &r.query {
             let _ = write!(line, ", \"query\": \"{}\"", escape(query));
-        }
-        if let Some(threads) = r.threads {
-            let _ = write!(line, ", \"threads\": {threads}");
         }
         if let Some(scenario) = &r.scenario {
             let _ = write!(line, ", \"scenario\": \"{}\"", escape(scenario));
@@ -459,14 +446,13 @@ mod tests {
             },
         ];
         let s = render("small", &records);
-        assert!(s.contains("\"schema\": \"hybrid-bench/apsp-v4\""));
+        assert!(s.contains("\"schema\": \"hybrid-bench/apsp-v5\""));
         assert!(s.contains("\"scale\": \"small\""));
         assert!(s.contains("{\"bench\": \"a\", \"n\": 10, \"wall_ns\": 123, \"rounds\": 7},"));
         assert!(s.contains("\"bench\": \"b\\\"x\""));
         assert!(!s.contains("},\n  ]"), "no trailing comma");
         assert!(!s.contains("scenario"), "plain records omit scenario fields");
         assert!(!s.contains("query"), "records without a query label omit the field");
-        assert!(!s.contains("threads"), "records without a thread budget omit the field");
         assert!(!s.contains("peak_rss"), "records without an RSS reading omit the field");
         assert!(!s.contains("qps"), "records without throughput fields omit them");
     }
@@ -665,10 +651,9 @@ mod tests {
         assert_eq!(r.n, 5);
         assert_eq!(r.rounds, 42);
         assert!(r.scenario.is_none() && r.seed.is_none() && r.verdict.is_none());
-        assert!(r.query.is_none() && r.threads.is_none());
-        let r = r.with_query("apsp-thm11").with_threads(4);
+        assert!(r.query.is_none());
+        let r = r.with_query("apsp-thm11");
         assert_eq!(r.query.as_deref(), Some("apsp-thm11"));
-        assert_eq!(r.threads, Some(4));
         let min3 = BenchRecord::measure_min_of("y", 3, 3, || 9);
         assert_eq!((min3.rounds, min3.n), (9, 3));
     }

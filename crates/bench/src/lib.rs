@@ -1,9 +1,9 @@
 //! Experiment harness: every theorem of the paper as a reproducible,
-//! table-printing experiment (the E1–E12 index of DESIGN.md §5).
+//! table-printing experiment (E1–E16).
 //!
-//! The `experiments` binary runs them and prints the rows recorded in
-//! EXPERIMENTS.md; the criterion benches in `benches/` wrap the same runners
-//! for wall-clock tracking.
+//! The `experiments` binary runs them, prints their tables, and writes the
+//! `BENCH_*.json` records. End-to-end wall-clock measurement lives in the
+//! separate `perfbench/` harness.
 
 #![warn(missing_docs)]
 

@@ -81,8 +81,9 @@ pub struct SessionConfig {
     /// Optional fault plan installed on every query's net. Non-trivial plans
     /// disable all caching (see the module docs).
     pub faults: Option<FaultPlan>,
-    /// Round-engine worker budget override applied to every query's net
-    /// (`None`: the `HYBRID_ROUND_THREADS` / hardware default).
+    /// Ignored: the round engine is sequential. Kept only because the
+    /// `perfbench/` benchmark harness still sets it; it will be removed once
+    /// that harness stops doing so.
     pub round_threads: Option<usize>,
     /// Damage threshold of [`Session::apply_delta`]: the dirtied-node
     /// fraction above which incremental repair falls back to a full
@@ -328,13 +329,9 @@ impl Session {
     }
 
     /// A fresh simulated net for one query, configured exactly as a cold
-    /// caller would: the session's [`HybridConfig`], fault plan, and
-    /// round-engine budget.
+    /// caller would: the session's [`HybridConfig`] and fault plan.
     fn fresh_net(&self) -> HybridNet<'_> {
         let mut net = HybridNet::new(&self.graph, self.cfg.net);
-        if let Some(threads) = self.cfg.round_threads {
-            net.set_round_threads(threads);
-        }
         if let Some(plan) = &self.cfg.faults {
             net.inject_faults(plan).expect("fault plan validated at session construction");
         }

@@ -21,7 +21,7 @@
 
 use hybrid_graph::graph::log2_ceil;
 use hybrid_graph::NodeId;
-use hybrid_sim::{derive_seed, par, Envelope, FlatInboxes, HybridNet};
+use hybrid_sim::{derive_seed, Envelope, FlatInboxes, HybridNet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -252,7 +252,7 @@ impl RoutingSession {
     /// * [`HybridError::MissingTokens`] if delivery is incomplete
     ///   (protocol-bug guard).
     /// * Simulator errors (congestion under the strict policy).
-    pub fn route<T: Clone + Send + Sync + 'static>(
+    pub fn route<T: Clone + Send + 'static>(
         &self,
         net: &mut HybridNet<'_>,
         tokens: Vec<Token<T>>,
@@ -281,7 +281,7 @@ impl RoutingSession {
             delivered[t.label.r.index()].push(t);
         }
         if routable.is_empty() {
-            finish(net.round_threads(), &mut delivered);
+            finish(&mut delivered);
             return Ok(RoutedTokens { delivered, mu_s: self.mu_s, mu_r: self.mu_r, rounds: 0 });
         }
         let mut per_receiver: Vec<u32> = vec![0; n];
@@ -352,29 +352,23 @@ impl RoutingSession {
         // parallel label/payload arrays (binary-search lookup on the packed
         // label array, `take()` on answer) — the struct-of-arrays layout
         // drops the per-entry padding of the former `(label, Option<T>)`
-        // tuples. Construction and the per-node label sorts are independent
-        // per intermediate — sharded across the round-engine worker budget.
-        let threads = net.round_threads();
-        let shard_stores = par::map_shards_mut(threads, &mut inboxes, |_, shard| {
-            shard
-                .iter_mut()
-                .map(|msgs| {
-                    let mut tokens: Vec<Token<T>> = msgs.drain(..).map(|(_, t)| t).collect();
-                    tokens.sort_unstable_by_key(|t| t.label);
-                    let mut store = IntermediateStore {
-                        labels: Vec::with_capacity(tokens.len()),
-                        payloads: Vec::with_capacity(tokens.len()),
-                    };
-                    for t in tokens {
-                        store.labels.push(t.label);
-                        store.payloads.push(Some(t.payload));
-                    }
-                    store
-                })
-                .collect::<Vec<_>>()
-        });
-        let mut intermediate_store: Vec<IntermediateStore<T>> =
-            shard_stores.into_iter().flatten().collect();
+        // tuples.
+        let mut intermediate_store: Vec<IntermediateStore<T>> = inboxes
+            .iter_mut()
+            .map(|msgs| {
+                let mut tokens: Vec<Token<T>> = msgs.drain(..).map(|(_, t)| t).collect();
+                tokens.sort_unstable_by_key(|t| t.label);
+                let mut store = IntermediateStore {
+                    labels: Vec::with_capacity(tokens.len()),
+                    payloads: Vec::with_capacity(tokens.len()),
+                };
+                for t in tokens {
+                    store.labels.push(t.label);
+                    store.payloads.push(Some(t.payload));
+                }
+                store
+            })
+            .collect();
 
         // Algorithm 4 phase B: receiver-helpers request labels; intermediates
         // answer in the next round. Requests and responses are interleaved,
@@ -414,23 +408,8 @@ impl RoutingSession {
                     req_outbox.extend(q.drain(..take));
                 }
                 net.exchange_into(&req_phase, &mut req_outbox, &mut req_flat)?;
-                // Every intermediate answers its own requests — the per-node
-                // protocol step is sharded by receiver: shard `t` owns a
-                // contiguous band of intermediates (their stores and response
-                // queues), so the parallel answer step is bit-identical to
-                // the sequential `mid = 0..n` sweep, including which error
-                // surfaces first (lowest failing shard reports the lowest
-                // failing intermediate).
-                let results = par::map_shards_mut2(
-                    threads,
-                    n,
-                    (&mut intermediate_store, 1),
-                    (&mut resp_queues, 1),
-                    |start, stores, resps| answer_requests(start, stores, resps, &req_flat),
-                );
-                for r in results {
-                    r?;
-                }
+                // Every intermediate answers its own requests.
+                answer_requests(&mut intermediate_store, &mut resp_queues, &req_flat)?;
             }
             if resp_queues.iter().any(|q| !q.is_empty()) {
                 resp_outbox.clear();
@@ -471,7 +450,7 @@ impl RoutingSession {
                 });
             }
         }
-        finish(threads, &mut delivered);
+        finish(&mut delivered);
         Ok(RoutedTokens {
             delivered,
             mu_s: self.mu_s,
@@ -503,7 +482,7 @@ impl RoutingSession {
 /// * [`HybridError::MissingTokens`] if delivery is incomplete (protocol-bug
 ///   guard).
 /// * Simulator errors (congestion under the strict policy).
-pub fn route_tokens<T: Clone + Send + Sync + 'static>(
+pub fn route_tokens<T: Clone + Send + 'static>(
     net: &mut HybridNet<'_>,
     tokens: Vec<Token<T>>,
     senders: &[NodeId],
@@ -543,14 +522,11 @@ pub fn route_tokens<T: Clone + Send + Sync + 'static>(
     Ok(routed)
 }
 
-/// Sorts every receiver's deliveries by label — independent per receiver,
-/// sharded across the round-engine worker budget.
-fn finish<T: Send>(threads: usize, delivered: &mut [Vec<Token<T>>]) {
-    par::map_shards_mut(threads, delivered, |_, shard| {
-        for v in shard.iter_mut() {
-            v.sort_by_key(|t| t.label);
-        }
-    });
+/// Sorts every receiver's deliveries by label.
+fn finish<T>(delivered: &mut [Vec<Token<T>>]) {
+    for v in delivered.iter_mut() {
+        v.sort_by_key(|t| t.label);
+    }
 }
 
 /// One intermediate node's store of tokens awaiting their requests: labels
@@ -561,8 +537,8 @@ struct IntermediateStore<T> {
     payloads: Vec<Option<T>>,
 }
 
-/// One shard of the Algorithm 4 answer step: intermediates `start + i` look
-/// up each requested label in their store and enqueue the response. On a
+/// The Algorithm 4 answer step: every intermediate `mid` looks up each
+/// requested label in their store and enqueue the response. On a
 /// lossless channel a request always follows the token to the same
 /// hash-chosen intermediate; if the token was lost en route (fault
 /// injection), surface a structured error instead of corrupting the protocol.
@@ -570,13 +546,11 @@ struct IntermediateStore<T> {
 /// requests are never duplicated, not even by faults (loss only removes
 /// messages), so that stays a hard protocol-bug panic.
 fn answer_requests<T>(
-    start: usize,
     stores: &mut [IntermediateStore<T>],
     resps: &mut [std::collections::VecDeque<Envelope<Token<T>>>],
     req_flat: &FlatInboxes<TokenLabel>,
 ) -> Result<(), HybridError> {
-    for (i, (store, resp)) in stores.iter_mut().zip(resps.iter_mut()).enumerate() {
-        let mid = start + i;
+    for (mid, (store, resp)) in stores.iter_mut().zip(resps.iter_mut()).enumerate() {
         for &(requester, lab) in req_flat.node(mid) {
             let idx = store.labels.binary_search(&lab).map_err(|_| {
                 HybridError::InvariantViolation(format!(

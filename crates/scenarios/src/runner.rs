@@ -121,7 +121,6 @@ fn run_suite_session(sc: &Scenario, g: &Graph) -> (u64, Verification, u64, u64, 
         xi: sc.suite.xi(),
         net: sc.faults.config(),
         faults: sc.faults.sim_plan(g.len(), sc.seed),
-        round_threads: None,
         ..SessionConfig::new(sc.seed)
     };
     let session = Session::new(g, cfg).expect("registry scenario configs are valid");
@@ -163,7 +162,6 @@ fn run_churn_session(
         xi: sc.suite.xi(),
         net: sc.faults.config(),
         faults: sc.faults.sim_plan(g0.len(), sc.seed),
-        round_threads: None,
         ..SessionConfig::new(sc.seed)
     };
     let query = sc.suite.query();

@@ -423,7 +423,9 @@ pub struct BrokerConfig {
     pub seed: u64,
     /// Simulated network configuration for every session.
     pub net: HybridConfig,
-    /// Round-engine worker budget applied to every session's nets.
+    /// Ignored: the round engine is sequential. Kept only because the
+    /// `perfbench/` benchmark harness still sets it; it will be removed once
+    /// that harness stops doing so.
     pub round_threads: Option<usize>,
     /// Byte budget of the session LRU, charged at
     /// `SessionStats::prepared_bytes` (floored at 1 KiB per session). When
@@ -1096,7 +1098,6 @@ impl<'g> Broker<'g> {
             xi: f64::from_bits(key.xi_bits),
             net: self.cfg.net,
             faults: faults.clone(),
-            round_threads: self.cfg.round_threads,
             ..SessionConfig::new(key.seed)
         };
         let session = Session::shared(graph, scfg)?;
@@ -1197,8 +1198,7 @@ impl<'g> Broker<'g> {
     }
 
     /// The cold referee: solves `query` from zero on a net configured exactly
-    /// like the session's (`HybridConfig`, round threads, trivial fault
-    /// plan), memoized per distinct query. The referee always runs on *the
+    /// like the session's (`HybridConfig`, trivial fault plan), memoized per distinct query. The referee always runs on *the
     /// session's own graph* — the epoch the session is serving — so a
     /// catalog delta applied mid-flight can never make it compare against
     /// the wrong graph version. Returns the digest a served report must
@@ -1219,9 +1219,6 @@ impl<'g> Broker<'g> {
             return cached.clone();
         }
         let mut net = HybridNet::new(entry.session.graph(), self.cfg.net);
-        if let Some(threads) = self.cfg.round_threads {
-            net.set_round_threads(threads);
-        }
         if let Some(plan) = &entry.faults {
             net.inject_faults(plan).expect("fault plan validated at registration");
         }

@@ -26,6 +26,11 @@
 //! so every protocol built on the simulator can be exercised under faults
 //! without touching its code.
 //!
+//! Execution is sequential and deterministic: a round's `n` simultaneous
+//! node actions run as one pass over the nodes on the calling thread, and the
+//! net spawns no threads. The same inputs and seeds always give the same
+//! answers, round bills, metrics and trace events.
+//!
 //! # Example
 //!
 //! ```
@@ -58,7 +63,6 @@ pub mod config;
 pub mod fault;
 pub mod metrics;
 pub mod net;
-pub mod par;
 pub mod rng;
 pub mod trace;
 

@@ -21,8 +21,7 @@ use crate::channel::{Envelope, FlatInboxes, Inboxes};
 use crate::config::{HybridConfig, OverflowPolicy};
 use crate::fault::{FaultPlan, FaultState};
 use crate::metrics::Metrics;
-use crate::par;
-use crate::trace::{Recorder, ShardTrace, TraceEvent};
+use crate::trace::{Recorder, TraceEvent};
 
 /// Errors of a simulated execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -98,8 +97,6 @@ struct ExchangeScratch {
     offs: Vec<u32>,
     /// First-pass permutation (message indices stable-sorted by sender).
     perm1: Vec<u32>,
-    /// Shard cut points (node boundaries) of the thread-sharded scatter.
-    cuts: Vec<u32>,
     /// Per-destination budget bookkeeping for [`HybridNet::drain_queues`].
     drain_recv: Vec<u32>,
 }
@@ -111,17 +108,10 @@ impl ExchangeScratch {
             recv: vec![0; n],
             offs: vec![0; n + 1],
             perm1: Vec::new(),
-            cuts: Vec::new(),
             drain_recv: vec![0; n],
         }
     }
 }
-
-/// Messages a scatter shard must own before the thread-sharded exchange path
-/// engages; below `2 ×` this the per-exchange `std::thread::scope` overhead
-/// outweighs the scatter work and the engine stays on the (allocation-free)
-/// sequential path.
-const PAR_MIN_SHARD_MESSAGES: usize = 512;
 
 /// Transmission attempts the reliable layer makes to an unacknowledged
 /// destination before its failure detector declares the node dead. The bound
@@ -150,68 +140,6 @@ struct ReliableScratch {
     attempts: Vec<u8>,
     /// Per-message delivery flags.
     delivered: Vec<bool>,
-}
-
-/// Shared mutable base pointer for provably disjoint shard writes. Every
-/// unsafe use below is justified by a partition argument: shard `t` only
-/// touches indices derived from node buckets in its own cut range, and the
-/// cut ranges partition `0..n`.
-struct ShardPtr<T>(*mut T);
-
-impl<T> Clone for ShardPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for ShardPtr<T> {}
-impl<T> ShardPtr<T> {
-    /// Pointer to slot `i`. Taking `self` by value makes closures capture the
-    /// whole (Send + Sync) wrapper rather than the raw pointer field.
-    unsafe fn at(self, i: usize) -> *mut T {
-        unsafe { self.0.add(i) }
-    }
-}
-// SAFETY: the pointer is only dereferenced at indices owned by exactly one
-// shard (see the partition arguments at each use site).
-unsafe impl<T: Send> Send for ShardPtr<T> {}
-unsafe impl<T: Send> Sync for ShardPtr<T> {}
-
-/// Shared read-only base pointer from which each message index is *moved out*
-/// exactly once across all shards.
-struct TakePtr<T>(*const T);
-
-impl<T> Clone for TakePtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for TakePtr<T> {}
-impl<T> TakePtr<T> {
-    /// Pointer to slot `i` (see [`ShardPtr::at`]).
-    unsafe fn at(self, i: usize) -> *const T {
-        unsafe { self.0.add(i) }
-    }
-}
-// SAFETY: see [`ShardPtr`]; additionally each slot is `ptr::read` at most once.
-unsafe impl<T: Send> Send for TakePtr<T> {}
-unsafe impl<T: Send> Sync for TakePtr<T> {}
-
-/// Splits the node buckets of a counting-sort prefix array into `shards`
-/// contiguous node ranges of roughly equal *message* counts. `prefix[v]` is
-/// the first slot of bucket `v`; the cut points (node indices, `shards + 1`
-/// entries) are appended to `cuts`.
-fn balanced_node_cuts(prefix: &[u32], n: usize, m: usize, shards: usize, cuts: &mut Vec<u32>) {
-    cuts.clear();
-    cuts.push(0);
-    let mut v = 0usize;
-    for s in 1..shards {
-        let target = (m * s / shards) as u32;
-        while v < n && prefix[v] < target {
-            v += 1;
-        }
-        cuts.push(v as u32);
-    }
-    cuts.push(n as u32);
 }
 
 /// Per-call pacing scratch of [`HybridNet::drain_queues`] — the reusable
@@ -265,9 +193,6 @@ pub struct HybridNet<'g> {
     cut: Option<Vec<bool>>,
     scratch: ExchangeScratch,
     faults: Option<FaultState>,
-    /// Worker budget of the thread-sharded exchange path (read from
-    /// `HYBRID_ROUND_THREADS` at construction; `1` = sequential engine).
-    round_threads: usize,
     /// Pooled [`HybridNet::drain_queues`] scratch buffers, per payload type.
     drain_pool: DrainPool,
     /// Routes exchanges through the ack/retransmission layer when a
@@ -308,7 +233,6 @@ impl<'g> HybridNet<'g> {
             cut: None,
             scratch: ExchangeScratch::for_n(graph.len()),
             faults: None,
-            round_threads: par::round_threads(),
             drain_pool: DrainPool::default(),
             reliable: false,
             rel: ReliableScratch::default(),
@@ -316,20 +240,10 @@ impl<'g> HybridNet<'g> {
         })
     }
 
-    /// Worker budget of the thread-sharded exchange engine (see
-    /// [`HybridNet::set_round_threads`]).
-    pub fn round_threads(&self) -> usize {
-        self.round_threads
-    }
-
-    /// Overrides the round-engine worker budget for this net (the
-    /// `HYBRID_ROUND_THREADS` environment variable sets the initial value at
-    /// construction). `1` forces the sequential, allocation-free engine;
-    /// larger budgets let big exchanges shard their counting-sort scatter
-    /// across OS threads. Results are bit-identical either way.
-    pub fn set_round_threads(&mut self, threads: usize) {
-        self.round_threads = threads.max(1);
-    }
+    /// Ignored: the round engine is sequential. Kept only because the
+    /// `perfbench/` benchmark harness still calls it; it will be removed once
+    /// that harness stops doing so.
+    pub fn set_round_threads(&mut self, _threads: usize) {}
 
     /// Installs a [`FaultPlan`]: from now on every global exchange drops
     /// messages per the plan's probability (deterministic stream) and silences
@@ -369,8 +283,8 @@ impl<'g> HybridNet<'g> {
     /// billed honestly — the wire rounds, one ack round, and the backoff
     /// rounds all advance the clock (recovery is charged, never discounted) —
     /// and all retry decisions are made sequentially from the plan's
-    /// deterministic streams, so runs stay bit-identical across thread
-    /// budgets. Without faults (or with a trivial plan) the flag is inert and
+    /// deterministic streams, so runs are reproducible bit for bit. Without
+    /// faults (or with a trivial plan) the flag is inert and
     /// exchanges behave exactly as before.
     pub fn set_reliable(&mut self, on: bool) {
         self.reliable = on;
@@ -561,7 +475,7 @@ impl<'g> HybridNet<'g> {
     ///
     /// [`SimError::AddressOutOfRange`] for a bad endpoint; cap violations under
     /// [`OverflowPolicy::Fail`].
-    pub fn exchange_into<M: Send + Sync>(
+    pub fn exchange_into<M>(
         &mut self,
         phase: &str,
         outbox: &mut Vec<Envelope<M>>,
@@ -677,14 +591,14 @@ impl<'g> HybridNet<'g> {
         }
         self.metrics.charge_global(rounds_needed, m as u64, phase);
 
-        let st = self.scatter_into(outbox, out);
+        let max_recv_load = self.scatter_into(outbox, out);
         if let Some(t) = self.trace.as_mut() {
             t.record(TraceEvent::Exchange {
                 phase: phase.to_string(),
                 rounds: rounds_needed,
                 messages: m as u64,
                 max_send_load: max_sent as u64,
-                max_recv_load: st.max_recv_load,
+                max_recv_load,
                 lost,
                 suppressed,
                 corrupted,
@@ -707,7 +621,7 @@ impl<'g> HybridNet<'g> {
     /// schedules keep firing during recovery. The surviving messages are
     /// finally handed to the shared stable scatter in sequence order, so
     /// per-`(src, dst)` delivery order matches the sequence numbers exactly.
-    fn exchange_reliable<M: Send + Sync>(
+    fn exchange_reliable<M>(
         &mut self,
         phase: &str,
         outbox: &mut Vec<Envelope<M>>,
@@ -876,9 +790,8 @@ impl<'g> HybridNet<'g> {
             metrics.charge_global(rounds_needed, rel.attempted.len() as u64, phase);
             metrics.charge_global_rounds_only(1, phase);
 
-            // Delivery decisions, strictly in sequence order: the drop
-            // stream is consumed deterministically, independent of the
-            // thread budget.
+            // Delivery decisions, strictly in sequence order, so the drop
+            // stream is consumed deterministically.
             rel.pending.clear();
             let mut lost_now = 0u64;
             let mut dead_suppressed = 0u64;
@@ -960,12 +873,9 @@ impl<'g> HybridNet<'g> {
             scratch.recv[e.dst.index()] += 1;
         }
         let delivered = outbox.len() as u64;
-        let st = self.scatter_into(outbox, out);
+        let max_recv_load = self.scatter_into(outbox, out);
         if let Some(t) = self.trace.as_mut() {
-            t.record(TraceEvent::Delivered {
-                messages: delivered,
-                max_recv_load: st.max_recv_load,
-            });
+            t.record(TraceEvent::Delivered { messages: delivered, max_recv_load });
         }
         Ok(())
     }
@@ -974,42 +884,18 @@ impl<'g> HybridNet<'g> {
     /// reliable layer: sorts `outbox` by `(dst, src, insertion order)` and
     /// moves the payloads into `out`. Expects all addresses validated and
     /// `scratch.recv` to hold `outbox`'s per-destination counts (for
-    /// receive-load recording); charges nothing. Returns the receive-side
-    /// trace observations (sequential scan, or the per-shard buffers merged
-    /// in shard order — bit-identical either way).
-    fn scatter_into<M: Send + Sync>(
-        &mut self,
-        outbox: &mut Vec<Envelope<M>>,
-        out: &mut FlatInboxes<M>,
-    ) -> ShardTrace {
+    /// receive-load recording); charges nothing. Returns the largest
+    /// per-node receive load, for the trace.
+    fn scatter_into<M>(&mut self, outbox: &mut Vec<Envelope<M>>, out: &mut FlatInboxes<M>) -> u64 {
         let n = self.graph.len();
         let m = outbox.len();
         // Deliver: stable two-pass counting sort by (dst, src, insertion order)
         // — radix pass 1 orders by sender, pass 2 groups by destination and
         // moves the payloads in one fused scatter; both passes are stable, so
         // the result matches a stable comparison sort on `(dst, src)` exactly.
-        //
-        // For large batches (≥ 2 shards of [`PAR_MIN_SHARD_MESSAGES`]) with a
-        // round-thread budget > 1, both scatters are partitioned into node
-        // shards (pass 1 by sender, pass 2 by receiver) balanced by message
-        // count and run under `std::thread::scope`. Each node bucket is
-        // written by exactly one shard in the same scan order the sequential
-        // loop uses, so the delivered arena is bit-identical. Every shard
-        // scans the whole batch and filters to its own buckets — O(m) cheap
-        // sequential reads per shard buys zero cross-shard coordination; at
-        // the exchange sizes this simulator sees (m ≤ tens of thousands,
-        // shards ≤ cores) the redundant reads are noise next to the
-        // parallelized payload moves. An oversubscribed budget (more threads
-        // than cores, e.g. the determinism suite on a 1-core box) does
-        // strictly redundant work, which is the explicit point there.
-        let shards = if self.round_threads > 1 {
-            self.round_threads.min(m / PAR_MIN_SHARD_MESSAGES).max(1)
-        } else {
-            1
-        };
 
         // Pass 1: message indices, stable-ordered by sender.
-        let ExchangeScratch { offs, perm1, cuts, recv, .. } = &mut self.scratch;
+        let ExchangeScratch { offs, perm1, recv, .. } = &mut self.scratch;
         offs[..=n].fill(0);
         for e in outbox.iter() {
             offs[e.src.index() + 1] += 1;
@@ -1019,37 +905,10 @@ impl<'g> HybridNet<'g> {
         }
         perm1.clear();
         perm1.resize(m, 0);
-        if shards <= 1 {
-            for (i, e) in outbox.iter().enumerate() {
-                let s = e.src.index();
-                perm1[offs[s] as usize] = i as u32;
-                offs[s] += 1;
-            }
-        } else {
-            balanced_node_cuts(offs, n, m, shards, cuts);
-            let offs_ptr = ShardPtr(offs.as_mut_ptr());
-            let perm_ptr = ShardPtr(perm1.as_mut_ptr());
-            let outbox_ref: &[Envelope<M>] = outbox;
-            std::thread::scope(|scope| {
-                for w in cuts.windows(2) {
-                    let (lo, hi) = (w[0] as usize, w[1] as usize);
-                    scope.spawn(move || {
-                        for (i, e) in outbox_ref.iter().enumerate() {
-                            let s = e.src.index();
-                            if s >= lo && s < hi {
-                                // SAFETY: sender buckets `lo..hi` (cursor
-                                // cells and the perm1 region they index) are
-                                // owned by this shard alone.
-                                unsafe {
-                                    let cursor = offs_ptr.at(s);
-                                    *perm_ptr.at(*cursor as usize) = i as u32;
-                                    *cursor += 1;
-                                }
-                            }
-                        }
-                    });
-                }
-            });
+        for (i, e) in outbox.iter().enumerate() {
+            let s = e.src.index();
+            perm1[offs[s] as usize] = i as u32;
+            offs[s] += 1;
         }
 
         // Pass 2: group by destination and move payloads into the arena.
@@ -1064,91 +923,32 @@ impl<'g> HybridNet<'g> {
         starts.clear();
         starts.extend(offs[..=n].iter().map(|&o| o as usize));
         msgs.reserve(m);
-        // SAFETY (both branches): `perm1` is a permutation of `0..m` and each
-        // destination bucket is drained by exactly one scan, so every element
-        // is read exactly once and every output slot in `0..m` is written
+        let mut max_recv_load = 0u64;
+        for v in 0..n {
+            if recv[v] > 0 {
+                self.metrics.record_recv_load(recv[v] as usize);
+                max_recv_load = max_recv_load.max(u64::from(recv[v]));
+            }
+        }
+        // SAFETY: `perm1` is a permutation of `0..m`, so every element of
+        // `outbox` is read exactly once, and each destination bucket's cursor
+        // walks its own slots, so every output slot in `0..m` is written
         // exactly once. `outbox`'s length is zeroed before any move and
         // `msgs`'s length is only set after all writes, so a panic leaks
         // elements instead of double-dropping them.
-        let mut st = ShardTrace::default();
         unsafe {
-            let base = TakePtr(outbox.as_ptr());
+            let base = outbox.as_ptr();
             outbox.set_len(0);
-            let out_ptr = ShardPtr(msgs.as_mut_ptr());
-            if shards <= 1 {
-                for v in 0..n {
-                    if recv[v] > 0 {
-                        self.metrics.record_recv_load(recv[v] as usize);
-                        st.observe(recv[v] as usize);
-                    }
-                }
-                for &i in perm1.iter() {
-                    let e = std::ptr::read(base.0.add(i as usize));
-                    let d = e.dst.index();
-                    std::ptr::write(out_ptr.0.add(offs[d] as usize), (e.src, e.msg));
-                    offs[d] += 1;
-                }
-            } else {
-                balanced_node_cuts(offs, n, m, shards, cuts);
-                let offs_ptr = ShardPtr(offs.as_mut_ptr());
-                let perm1_ref: &[u32] = perm1;
-                let recv_ref: &[u32] = recv;
-                // Each receiver shard scatters its buckets and records its
-                // nodes' receive loads into a local `Metrics` plus a local
-                // trace buffer; both locals are merged in shard order below,
-                // which reproduces the sequential `v = 0..n` recording
-                // exactly.
-                let shard_metrics: Vec<(Metrics, ShardTrace)> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = cuts
-                        .windows(2)
-                        .map(|w| {
-                            let (lo, hi) = (w[0] as usize, w[1] as usize);
-                            scope.spawn(move || {
-                                let mut local = Metrics::new();
-                                let mut local_trace = ShardTrace::default();
-                                for v in lo..hi {
-                                    if recv_ref[v] > 0 {
-                                        local.record_recv_load(recv_ref[v] as usize);
-                                        local_trace.observe(recv_ref[v] as usize);
-                                    }
-                                }
-                                for &i in perm1_ref {
-                                    // SAFETY: only the shard owning bucket
-                                    // `d` moves message `i` (dst buckets
-                                    // partition the messages) and writes the
-                                    // slots `offs[d]..` of its own buckets;
-                                    // peeking another shard's `dst` is a
-                                    // plain concurrent read. (This closure is
-                                    // lexically inside the delivery `unsafe`
-                                    // block.)
-                                    let d = (*base.at(i as usize)).dst.index();
-                                    if d >= lo && d < hi {
-                                        let e = std::ptr::read(base.at(i as usize));
-                                        let cursor = offs_ptr.at(d);
-                                        std::ptr::write(
-                                            out_ptr.at(*cursor as usize),
-                                            (e.src, e.msg),
-                                        );
-                                        *cursor += 1;
-                                    }
-                                }
-                                (local, local_trace)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("exchange shard panicked"))
-                        .collect()
-                });
-                for (local, local_trace) in &shard_metrics {
-                    self.metrics.absorb(local);
-                    st.absorb(local_trace);
-                }
+            let out_ptr = msgs.as_mut_ptr();
+            for &i in perm1.iter() {
+                let e = std::ptr::read(base.add(i as usize));
+                let d = e.dst.index();
+                std::ptr::write(out_ptr.add(offs[d] as usize), (e.src, e.msg));
+                offs[d] += 1;
             }
             msgs.set_len(m);
         }
-        st
+        max_recv_load
     }
 
     /// Performs one global-mode communication step: delivers `outbox` subject to
@@ -1163,7 +963,7 @@ impl<'g> HybridNet<'g> {
     ///
     /// [`SimError::AddressOutOfRange`] for a bad destination; cap violations under
     /// [`OverflowPolicy::Fail`].
-    pub fn exchange<M: Send + Sync>(
+    pub fn exchange<M>(
         &mut self,
         phase: &str,
         outbox: Vec<Envelope<M>>,
@@ -1199,7 +999,7 @@ impl<'g> HybridNet<'g> {
     /// # Errors
     ///
     /// Propagates [`SimError`] from the underlying exchanges.
-    pub fn drain_queues<M: Send + Sync + 'static>(
+    pub fn drain_queues<M: Send + 'static>(
         &mut self,
         phase: &str,
         queues: Vec<Vec<Envelope<M>>>,
@@ -1214,7 +1014,7 @@ impl<'g> HybridNet<'g> {
         result
     }
 
-    fn drain_queues_inner<M: Send + Sync>(
+    fn drain_queues_inner<M>(
         &mut self,
         phase: &str,
         mut queues: Vec<Vec<Envelope<M>>>,
@@ -1534,57 +1334,45 @@ mod tests {
     }
 
     #[test]
-    fn sharded_exchange_is_bit_identical_to_sequential() {
-        // A batch large enough to engage the thread-sharded scatter (≥ 2
-        // shards of PAR_MIN_SHARD_MESSAGES) with a skewed destination mix:
-        // the parallel engine must reproduce the sequential arena byte for
-        // byte — same grouping, same (sender, insertion order) tie-breaks —
-        // and the same metrics, including the receive-load histogram merged
-        // from per-shard metrics.
+    fn skewed_batch_matches_stable_sort_reference() {
+        // A large batch with a skewed destination mix (a hot receiver, node
+        // 7): the arena must equal a stable `(dst, src)` sort of the outbox —
+        // same grouping, same (sender, insertion order) tie-breaks — and the
+        // receive-load histogram must count every receiver's load once.
         let g = path(64, 1).unwrap();
-        let mk_outbox = || -> Vec<Envelope<(u32, u32)>> {
-            (0..4096u32)
-                .map(|i| {
-                    let s = (i.wrapping_mul(13) % 64) as usize;
-                    // Mix of broad traffic and a hot receiver (node 7).
-                    let d = if i % 5 == 0 { 7 } else { (i.wrapping_mul(29) % 64) as usize };
-                    Envelope::new(NodeId::new(s), NodeId::new(d), (i, i % 7))
-                })
-                .collect()
-        };
-        let run = |threads: usize| {
-            let mut net = net(&g);
-            net.set_round_threads(threads);
-            let mut outbox = mk_outbox();
-            let mut flat = FlatInboxes::new();
-            net.exchange_into("t", &mut outbox, &mut flat).unwrap();
-            let (msgs, starts) = flat.as_parts();
-            (msgs.to_vec(), starts.to_vec(), net.rounds(), net.metrics().clone())
-        };
-        let (seq_msgs, seq_starts, seq_rounds, seq_metrics) = run(1);
-        for threads in [2, 4, 7] {
-            let (par_msgs, par_starts, par_rounds, par_metrics) = run(threads);
-            assert_eq!(par_msgs, seq_msgs, "threads = {threads}");
-            assert_eq!(par_starts, seq_starts, "threads = {threads}");
-            assert_eq!(par_rounds, seq_rounds, "threads = {threads}");
-            assert_eq!(par_metrics.recv_load_hist, seq_metrics.recv_load_hist);
-            assert_eq!(par_metrics.max_recv_load, seq_metrics.max_recv_load);
-            assert_eq!(par_metrics.max_send_load, seq_metrics.max_send_load);
-            assert_eq!(par_metrics.global_messages, seq_metrics.global_messages);
+        let outbox: Vec<Envelope<(u32, u32)>> = (0..4096u32)
+            .map(|i| {
+                let s = (i.wrapping_mul(13) % 64) as usize;
+                let d = if i % 5 == 0 { 7 } else { (i.wrapping_mul(29) % 64) as usize };
+                Envelope::new(NodeId::new(s), NodeId::new(d), (i, i % 7))
+            })
+            .collect();
+        let mut sorted = outbox.clone();
+        sorted.sort_by_key(|e| (e.dst, e.src));
+        let mut loads = vec![0usize; 64];
+        for e in &sorted {
+            loads[e.dst.index()] += 1;
         }
-    }
+        let mut starts = vec![0usize];
+        for &l in &loads {
+            starts.push(starts.last().unwrap() + l);
+        }
+        let mut hist_ref = Metrics::new();
+        for &l in loads.iter().filter(|&&l| l > 0) {
+            hist_ref.record_recv_load(l);
+        }
 
-    #[test]
-    fn small_batches_stay_on_the_sequential_engine() {
-        // Below the shard threshold the parallel budget must not change
-        // behavior (and keeps the zero-allocation contract).
-        let g = path(8, 1).unwrap();
         let mut net = net(&g);
-        net.set_round_threads(8);
-        assert_eq!(net.round_threads(), 8);
-        let inboxes =
-            net.exchange("t", vec![Envelope::new(NodeId::new(0), NodeId::new(3), 1u8)]).unwrap();
-        assert_eq!(inboxes[3], vec![(NodeId::new(0), 1)]);
+        let mut outbox = outbox;
+        let mut flat = FlatInboxes::new();
+        net.exchange_into("t", &mut outbox, &mut flat).unwrap();
+        let (msgs, got_starts) = flat.as_parts();
+        let want: Vec<_> = sorted.into_iter().map(|e| (e.src, e.msg)).collect();
+        assert_eq!(msgs, &want[..]);
+        assert_eq!(got_starts, &starts[..]);
+        assert_eq!(net.metrics().recv_load_hist, hist_ref.recv_load_hist);
+        assert_eq!(net.metrics().max_recv_load, *loads.iter().max().unwrap());
+        assert_eq!(net.metrics().global_messages, 4096);
     }
 
     #[test]
@@ -1897,12 +1685,11 @@ mod tests {
     }
 
     #[test]
-    fn reliable_exchange_is_bit_identical_across_thread_budgets() {
+    fn reliable_exchange_is_reproducible() {
         use crate::fault::{Crash, FaultPlan};
         let g = path(64, 1).unwrap();
-        let run = |threads: usize| {
+        let run = || {
             let mut net = net(&g);
-            net.set_round_threads(threads);
             net.inject_faults(&FaultPlan {
                 drop_prob: 0.3,
                 corrupt_prob: 0.0,
@@ -1925,18 +1712,16 @@ mod tests {
             let (msgs, starts) = flat.as_parts();
             (msgs.to_vec(), starts.to_vec(), net.rounds(), net.metrics().clone())
         };
-        let (seq_msgs, seq_starts, seq_rounds, seq_m) = run(1);
-        for threads in [2, 4] {
-            let (par_msgs, par_starts, par_rounds, par_m) = run(threads);
-            assert_eq!(par_msgs, seq_msgs, "threads = {threads}");
-            assert_eq!(par_starts, seq_starts, "threads = {threads}");
-            assert_eq!(par_rounds, seq_rounds, "threads = {threads}");
-            assert_eq!(par_m.retransmissions, seq_m.retransmissions);
-            assert_eq!(par_m.dropped_by_loss, seq_m.dropped_by_loss);
-            assert_eq!(par_m.recovered_messages, seq_m.recovered_messages);
-            assert_eq!(par_m.declared_dead, seq_m.declared_dead);
-        }
-        assert!(seq_m.recovered_messages > 0, "the instance must exercise recovery");
+        let (msgs, starts, rounds, m) = run();
+        let (msgs2, starts2, rounds2, m2) = run();
+        assert_eq!(msgs2, msgs);
+        assert_eq!(starts2, starts);
+        assert_eq!(rounds2, rounds);
+        assert_eq!(m2.retransmissions, m.retransmissions);
+        assert_eq!(m2.dropped_by_loss, m.dropped_by_loss);
+        assert_eq!(m2.recovered_messages, m.recovered_messages);
+        assert_eq!(m2.declared_dead, m.declared_dead);
+        assert!(m.recovered_messages > 0, "the instance must exercise recovery");
     }
 
     #[test]

@@ -4,13 +4,18 @@
 //! A counting global allocator tallies every `alloc`/`realloc`; after a warm-up
 //! call (which sizes the scratch arenas, the inbox arena, and interns the phase
 //! label) repeated exchanges with the same shape must not allocate at all.
+//!
+//! The tally is per thread: libtest runs tests (and its own bookkeeping) on
+//! other threads concurrently, and none of their allocations may land in a
+//! measured window. The network spawns no threads, so the measuring thread's
+//! counter sees every allocation the engine makes.
 
 // Per-node `for v in 0..n` index loops mirror the message-passing idiom of
 // the simulator (v *is* the node).
 #![allow(clippy::needless_range_loop)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use hybrid_graph::generators::path;
 use hybrid_graph::NodeId;
@@ -18,11 +23,20 @@ use hybrid_sim::{Envelope, FlatInboxes, HybridConfig, HybridNet};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Const-initialized and free of
+    /// destructors, so touching it from inside the allocator never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with`: a thread's own teardown may allocate after its slot is gone.
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -31,7 +45,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -39,16 +53,20 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
-/// The allocation counter is process-global, so measured windows of the
-/// tests in this binary must never overlap: every test holds this lock.
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+/// The counter must still catch a real allocation: without this probe, a
+/// counter that never counts would pass every test below.
+#[test]
+fn counter_catches_an_allocation_in_the_window() {
+    let before = allocations();
+    let v: Vec<u64> = std::hint::black_box(Vec::with_capacity(16));
+    let after = allocations();
+    drop(v);
+    assert!(after - before >= 1, "the counter missed a heap allocation");
 }
 
 /// Refills `outbox` with a fixed all-to-some pattern (stays within existing
@@ -64,7 +82,6 @@ fn fill_outbox(outbox: &mut Vec<Envelope<u64>>, n: usize, round: u64) {
 
 #[test]
 fn steady_state_exchange_into_is_allocation_free() {
-    let _guard = serial();
     let g = path(64, 1).expect("graph");
     let mut net = HybridNet::new(&g, HybridConfig::default());
     let mut outbox: Vec<Envelope<u64>> = Vec::new();
@@ -100,7 +117,6 @@ fn steady_state_exchange_into_is_allocation_free() {
 /// once, never re-allocated per call.
 #[test]
 fn trivial_plan_with_reliable_mode_stays_allocation_free() {
-    let _guard = serial();
     let g = path(64, 1).expect("graph");
     let mut net = HybridNet::new(&g, HybridConfig::default());
     net.inject_faults(&hybrid_sim::FaultPlan::default()).expect("trivial plan is valid");
@@ -139,7 +155,6 @@ fn trivial_plan_with_reliable_mode_stays_allocation_free() {
 /// pins it allocation-free in steady state.
 #[test]
 fn steady_state_ksssp_request_response_round_is_allocation_free() {
-    let _guard = serial();
     let g = path(64, 1).expect("graph");
     let mut net = HybridNet::new(&g, HybridConfig::default());
     let mut req_outbox: Vec<Envelope<u32>> = Vec::new();
@@ -192,7 +207,6 @@ fn steady_state_ksssp_request_response_round_is_allocation_free() {
 /// and arena and pins the steady-state rounds allocation-free.
 #[test]
 fn steady_state_diameter_tree_round_is_allocation_free() {
-    let _guard = serial();
     let g = path(64, 1).expect("graph");
     let mut net = HybridNet::new(&g, HybridConfig::default());
     let mut outbox: Vec<Envelope<u64>> = Vec::new();
@@ -236,7 +250,6 @@ fn steady_state_diameter_tree_round_is_allocation_free() {
 /// before any tracing and after tracing has been switched off again.
 #[test]
 fn exchange_with_tracing_disabled_stays_allocation_free() {
-    let _guard = serial();
     let g = path(64, 1).expect("graph");
     let mut net = HybridNet::new(&g, HybridConfig::default());
     let mut outbox: Vec<Envelope<u64>> = Vec::new();
@@ -279,7 +292,6 @@ fn exchange_with_tracing_disabled_stays_allocation_free() {
 /// vectors remain.
 #[test]
 fn drain_queues_repeat_calls_reuse_pooled_scratch() {
-    let _guard = serial();
     let g = path(64, 1).expect("graph");
     let mut net = HybridNet::new(&g, HybridConfig::default());
     let mk_queues = || -> Vec<Vec<Envelope<u64>>> {
@@ -307,7 +319,6 @@ fn drain_queues_repeat_calls_reuse_pooled_scratch() {
 
 #[test]
 fn steady_state_drain_round_is_allocation_free() {
-    let _guard = serial();
     // The drain loop's per-round work (pacing bookkeeping + exchange_into +
     // arena drain) must also be allocation-free; the nested-Vec result of the
     // public `drain_queues` is the only allocating part, so this test drives
