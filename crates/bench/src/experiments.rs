@@ -852,10 +852,10 @@ fn serving_record(n: usize, r: &hybrid_serve::LoadReport) -> crate::json::BenchR
 /// * `serve-mixed` — two tenants with comfortable queue depth and a generous
 ///   session budget over two registry graphs (`e2-er`, `sparse-grid`); the
 ///   cache-friendly steady state (high hit rate, no shedding expected).
-/// * `serve-tight` — three depth-1 tenants under a byte budget sized to
-///   ~1.5 sessions, probed from a real session's `prepared_bytes`; admission
-///   pressure and LRU eviction churn on the same request mix. Clients retry
-///   overloads with deterministic backoff.
+/// * `serve-tight` — three depth-1 tenants under a byte budget of 1.5 times
+///   the broker's per-session minimum charge, so any two resident sessions
+///   overflow it; admission pressure and LRU eviction churn on the same
+///   request mix. Clients retry overloads with deterministic backoff.
 /// * `serve-chaos` — the fault-tolerant serving path end to end: a healthy
 ///   tenant, a lossy+corrupting tenant (drop and bit-flip fault plans run
 ///   cold through the reliable layer), a crashing tenant whose answers come
@@ -870,7 +870,9 @@ fn serving_record(n: usize, r: &hybrid_serve::LoadReport) -> crate::json::BenchR
 /// exits non-zero otherwise.
 pub fn bench_serving_records(scale: Scale) -> Vec<crate::json::BenchRecord> {
     use hybrid_graph::NodeId;
-    use hybrid_serve::{run_load, Broker, BrokerConfig, GraphCatalog, LoadSpec, TenantConfig};
+    use hybrid_serve::{
+        run_load, Broker, BrokerConfig, GraphCatalog, LoadSpec, TenantConfig, MIN_ENTRY_BYTES,
+    };
     use hybrid_sim::{Crash, FaultPlan};
     let n = scale.pick3(SMOKE_N, 200, 400);
     let mut catalog = GraphCatalog::new();
@@ -907,18 +909,11 @@ pub fn bench_serving_records(scale: Scale) -> Vec<crate::json::BenchRecord> {
     );
     records.push(serving_record(n, &mixed));
 
-    // Probe a real session's footprint to size a budget that cannot hold the
-    // working set (2 graphs × 3 tenants), forcing byte-driven evictions.
-    let probe = {
-        let (g, _) = catalog.get("e2-er").expect("registered");
-        let session = Session::new(&g, SessionConfig::new(7)).expect("session");
-        for q in &queries {
-            session.solve(q).expect("probe solve");
-        }
-        session.stats().prepared_bytes
-    };
+    // A budget below two sessions' minimum charge: any two resident sessions
+    // overflow it, so the 6-session working set (2 graphs × 3 tenants)
+    // evicts whatever order the clients interleave in.
     let mut tight_cfg = BrokerConfig::new(7);
-    tight_cfg.session_budget_bytes = probe + probe / 2;
+    tight_cfg.session_budget_bytes = MIN_ENTRY_BYTES + MIN_ENTRY_BYTES / 2;
     let tight_broker = Broker::new(&catalog, tight_cfg);
     for tenant in ["t0", "t1", "t2"] {
         tight_broker.register_tenant(tenant, TenantConfig::new(1)).expect("trivial tenant");
@@ -1396,9 +1391,21 @@ pub fn run_all(scale: Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{PoisonError, RwLock, RwLockReadGuard};
+
+    /// The churn gate compares two wall-clock timings. Every other test here
+    /// runs a heavy workload and holds this lock shared, while the churn test
+    /// holds it exclusively, so under libtest's default parallelism its
+    /// timing never runs beside them.
+    static TIMING: RwLock<()> = RwLock::new(());
+
+    fn shared_timing() -> RwLockReadGuard<'static, ()> {
+        TIMING.read().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn small_scale_experiments_run() {
+        let _timing = shared_timing();
         // Smoke: the cheap experiments complete and produce rows.
         for table in [
             e1_token_routing(Scale::Small),
@@ -1412,6 +1419,7 @@ mod tests {
 
     #[test]
     fn export_scenario_traces_writes_chrome_trace_and_rollup() {
+        let _timing = shared_timing();
         let dir = std::env::temp_dir().join(format!("hybrid-trace-test-{}", std::process::id()));
         let sc = hybrid_scenarios::find("sparse-grid-thm11").expect("registered");
         let failures = export_scenario_traces(&dir, &[sc], 36);
@@ -1426,6 +1434,7 @@ mod tests {
 
     #[test]
     fn apsp_records_cover_all_benches_and_sizes() {
+        let _timing = shared_timing();
         let records = bench_apsp_records(Scale::Small);
         assert_eq!(records.len(), 6); // 2 sizes x 3 benches
         assert!(records.iter().any(|r| r.bench == "thm11_apsp" && r.rounds > 0));
@@ -1444,6 +1453,7 @@ mod tests {
 
     #[test]
     fn bench_apsp_json_pins_instances_and_algorithms() {
+        let _timing = shared_timing();
         // The recorded perf trajectory must keep benchmarking the same E2
         // graph instances and the same algorithms across the API redesign.
         let doc =
@@ -1470,6 +1480,7 @@ mod tests {
 
     #[test]
     fn throughput_records_measure_cold_and_session() {
+        let _timing = shared_timing();
         let records = bench_throughput_records(Scale::Small);
         assert_eq!(records.len(), 4); // 2 sizes × (cold, session)
         for r in &records {
@@ -1486,6 +1497,7 @@ mod tests {
 
     #[test]
     fn serving_records_account_for_every_request() {
+        let _timing = shared_timing();
         let records = bench_serving_records(Scale::Small);
         assert_eq!(records.len(), 3); // serve-mixed + serve-tight + serve-chaos
         for r in &records {
@@ -1508,8 +1520,8 @@ mod tests {
         assert_eq!(mixed.bench, "serve-mixed");
         let s = mixed.serving.as_ref().unwrap();
         assert!(s.cache_hits > 0, "steady-state mix must hit resident sessions");
-        // The tight workload's budget holds ~1.5 sessions for a 6-session
-        // working set, so byte-driven eviction must actually fire.
+        // The tight workload's budget cannot hold two sessions of its
+        // 6-session working set, so byte-driven eviction must actually fire.
         let tight = records[1].serving.as_ref().unwrap();
         assert!(tight.cache_evicted > 0, "tight budget must evict");
         // The chaos workload must actually exercise the fault-tolerant path:
@@ -1525,6 +1537,7 @@ mod tests {
 
     #[test]
     fn chaos_records_measure_recovery_overhead() {
+        let _timing = shared_timing();
         let records = bench_chaos_records(Scale::Small);
         assert_eq!(records.len(), hybrid_scenarios::by_tag("chaos").len());
         for r in &records {
@@ -1546,6 +1559,7 @@ mod tests {
 
     #[test]
     fn churn_records_pass_the_gate_and_the_gate_bites() {
+        let _timing = TIMING.write().unwrap_or_else(PoisonError::into_inner);
         let records = bench_churn_records(Scale::Small);
         let violations = churn_gate_violations(&records);
         assert!(violations.is_empty(), "{violations:#?}");
@@ -1570,6 +1584,7 @@ mod tests {
 
     #[test]
     fn scenario_smoke_matrix_all_pass() {
+        let _timing = shared_timing();
         let reports = scenario_reports(Scale::Small, None);
         assert_eq!(reports.len(), registry().len());
         assert!(reports.iter().all(|r| r.passed()), "{reports:?}");

@@ -59,6 +59,10 @@ pub struct ApspOutcome {
 /// Final assembly shared by both APSP variants: each node `u` combines its
 /// `h`-hop-local exact distances with the skeleton route
 /// `min_{s near u} d_h(u,s) + labels[s][v]`.
+///
+/// Only rows that gated out a reachable entry go through the skeleton merge.
+/// An ungated row already holds every exact distance, and every merge
+/// candidate is the weight of a real walk, so the merge could not change it.
 fn assemble(
     net: &HybridNet<'_>,
     skeleton: &Skeleton,
@@ -72,22 +76,40 @@ fn assemble(
     let mut out = DistanceMatrix::new(n);
     let sources: Vec<NodeId> = g.nodes().collect();
     // Pass 1 — one parallel lex-Dijkstra per node; each worker writes its
-    // h-hop-gated local row straight into the flat matrix.
-    par_lex_rows_with(g, &sources, out.as_flat_mut(), |_, _, dist, hops, row| {
+    // h-hop-gated local row straight into the flat matrix and reports whether
+    // the gate hid a finite entry.
+    let gated = par_lex_rows_with(g, &sources, out.as_flat_mut(), |_, _, dist, hops, row| {
+        let mut gated = false;
         for v in 0..n {
-            row[v] = if hops[v] <= h { dist[v] } else { INFINITY };
+            row[v] = if hops[v] <= h {
+                dist[v]
+            } else {
+                gated |= dist[v] != INFINITY;
+                INFINITY
+            };
         }
+        gated
     });
-    // Pass 2 — the skeleton merge is one blocked min-plus product
-    // `near (n × |V_S|) ⊗ labels (|V_S| × n)` accumulated into the gated
-    // local rows (the kernel's seeded-output mode).
-    let mut nearm = vec![INFINITY; n * ns];
-    for v in 0..n {
-        for (s, d) in near.node(v) {
-            nearm[v * ns + s] = d;
-        }
+    let rows: Vec<usize> = (0..n).filter(|&v| gated[v]).collect();
+    if rows.is_empty() {
+        return out;
     }
-    par_min_plus_into(&nearm, labels, out.as_flat_mut(), n, n);
+    // Pass 2 — the skeleton merge of the gated rows is one blocked min-plus
+    // product `near (rows × |V_S|) ⊗ labels (|V_S| × n)` accumulated into
+    // their gated local rows (the kernel's seeded-output mode).
+    let flat = out.as_flat_mut();
+    let mut nearm = vec![INFINITY; rows.len() * ns];
+    let mut merged = Vec::with_capacity(rows.len() * n);
+    for (i, &v) in rows.iter().enumerate() {
+        for (s, d) in near.node(v) {
+            nearm[i * ns + s] = d;
+        }
+        merged.extend_from_slice(&flat[v * n..(v + 1) * n]);
+    }
+    par_min_plus_into(&nearm, labels, &mut merged, rows.len(), n);
+    for (&v, row) in rows.iter().zip(merged.chunks_exact(n)) {
+        flat[v * n..(v + 1) * n].copy_from_slice(row);
+    }
     out
 }
 
@@ -301,7 +323,7 @@ mod tests {
     use hybrid_graph::generators::{erdos_renyi_connected, grid, random_geometric_connected};
     use hybrid_sim::HybridConfig;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn check_exact(g: &hybrid_graph::Graph, xi: f64, seed: u64) -> ApspOutcome {
         let exact = apsp(g);
@@ -335,6 +357,28 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let g = random_geometric_connected(80, 0.2, 6, &mut rng).unwrap();
         check_exact(&g, 1.5, 7);
+    }
+
+    #[test]
+    fn exact_when_rows_are_gated() {
+        // A weighted cycle whose shortest-path diameter exceeds the skeleton
+        // radius h: some lex-shortest paths need more than h hops, so the
+        // assembly gates rows and the skeleton merge must fill them in.
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut b = hybrid_graph::GraphBuilder::new(400);
+        for i in 0..400 {
+            let w = rng.gen_range(1..=3);
+            b.add_edge(NodeId::new(i), NodeId::new((i + 1) % 400), w).unwrap();
+        }
+        let g = b.build().unwrap();
+        let spd = hybrid_graph::dijkstra::shortest_path_diameter(&g);
+        let exact = apsp(&g);
+        for variant in [exact_apsp, exact_apsp_soda20] {
+            let mut net = HybridNet::new(&g, HybridConfig::default());
+            let out = variant(&mut net, ApspConfig { xi: 0.6 }, 9).unwrap();
+            assert!((out.h as u64) < spd, "h = {} must be below SPD = {spd}", out.h);
+            assert_eq!(out.dist.as_flat(), exact.as_flat(), "gated rows must merge exactly");
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use clique_sim::declared::DeclaredKssp;
 use clique_sim::diameter::{DeclaredDiameter32, DeclaredDiameterAlgebraic};
 use clique_sim::CliqueDiameterAlgorithm;
-use hybrid_graph::bfs::local_max_hop;
+use hybrid_graph::bfs::local_max_hops;
 use hybrid_graph::{Distance, NodeId, INFINITY};
 use hybrid_sim::{derive_seed, HybridNet};
 
@@ -125,10 +125,9 @@ pub(crate) fn diameter_framework_prepared<A: CliqueDiameterAlgorithm + ?Sized>(
     let eta = alg.eta().max(1.0);
     let explore = ((eta * h as f64).ceil() as u64).max(1) + 1;
     net.charge_local(explore, "diam:local-exploration");
-    let g = net.graph();
     // Every node measures h_v in its own ball.
     let h_values: Vec<Option<u64>> =
-        (0..g.len()).map(|v| Some(local_max_hop(g, NodeId::new(v), explore as usize))).collect();
+        local_max_hops(net.graph(), explore as usize).into_iter().map(Some).collect();
 
     // Step 4: global max-aggregation of ĥ (Lemma B.2, O(log n) rounds).
     let h_hat =

@@ -129,10 +129,77 @@ pub fn unweighted_diameter(g: &Graph) -> Distance {
 }
 
 /// Largest hop distance observed from `v` within its `r`-hop neighborhood — the
-/// paper's `h_v := max_{w ∈ N_{r}(v)} hop(v, w)` used in Algorithm 9.
+/// paper's `h_v := max_{w ∈ N_{r}(v)} hop(v, w)` used in Algorithm 9. One
+/// truncated BFS; [`local_max_hops`] computes the same value for every node
+/// at once.
 pub fn local_max_hop(g: &Graph, v: NodeId, r: usize) -> Distance {
     let d = bfs_limited(g, v, r);
     d.eccentricity()
+}
+
+/// [`local_max_hop`]`(g, v, r)` for every node `v`, indexed by node.
+///
+/// A bit-parallel multi-source BFS (MS-BFS, Then et al., PVLDB 2014): the
+/// sources run in batches of 64, one bit of a `u64` word per source, so one
+/// frontier scan of a node advances every search of the batch that reached it.
+/// Each level expands only the frontier list (the nodes some search reached
+/// at the previous level), and a batch stops after `r` levels or once every
+/// search in it has run out of nodes. `h_v` is the last level at which
+/// `v`'s search reached a new node.
+pub fn local_max_hops(g: &Graph, r: usize) -> Vec<Distance> {
+    let n = g.len();
+    let mut out = vec![0; n];
+    let mut seen = vec![0u64; n];
+    let mut visit = vec![0u64; n];
+    let mut next = vec![0u64; n];
+    let mut frontier: Vec<u32> = Vec::new();
+    let mut next_frontier: Vec<u32> = Vec::new();
+    for base in (0..n).step_by(64) {
+        let batch = (n - base).min(64);
+        seen.fill(0);
+        frontier.clear();
+        for i in 0..batch {
+            seen[base + i] = 1 << i;
+            visit[base + i] = 1 << i;
+            frontier.push((base + i) as u32);
+        }
+        let mut level = 0;
+        while level < r && !frontier.is_empty() {
+            level += 1;
+            for &v in &frontier {
+                let word = visit[v as usize];
+                for (u, _) in g.neighbors(NodeId::from(v)) {
+                    let ui = u.index();
+                    let fresh = word & !seen[ui];
+                    if fresh != 0 {
+                        if next[ui] == 0 {
+                            next_frontier.push(u.raw());
+                        }
+                        next[ui] |= fresh;
+                    }
+                }
+            }
+            let mut reached = 0u64;
+            for &u in &next_frontier {
+                seen[u as usize] |= next[u as usize];
+                reached |= next[u as usize];
+            }
+            while reached != 0 {
+                out[base + reached.trailing_zeros() as usize] = level as Distance;
+                reached &= reached - 1;
+            }
+            for &v in &frontier {
+                visit[v as usize] = 0;
+            }
+            std::mem::swap(&mut visit, &mut next);
+            std::mem::swap(&mut frontier, &mut next_frontier);
+            next_frontier.clear();
+        }
+        for &v in &frontier {
+            visit[v as usize] = 0;
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -198,5 +265,8 @@ mod tests {
         assert_eq!(local_max_hop(&g, NodeId::new(0), 4), 4);
         assert_eq!(local_max_hop(&g, NodeId::new(5), 3), 3);
         assert_eq!(local_max_hop(&g, NodeId::new(0), 100), 9);
+        assert_eq!(local_max_hops(&g, 4)[0], 4);
+        assert_eq!(local_max_hops(&g, 3)[5], 3);
+        assert_eq!(local_max_hops(&g, 100)[0], 9);
     }
 }

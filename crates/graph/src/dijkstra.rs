@@ -13,9 +13,9 @@
 //! make that fast:
 //!
 //! * [`DijkstraWorkspace`] — a reusable arena (recycled distance/hop/
-//!   predecessor arrays and binary heap) that eliminates all per-run
-//!   allocation. Reset is a bulk `fill` of the distance row: measured against
-//!   an epoch-tagged visited array, the bulk reset wins because it keeps the
+//!   predecessor arrays, Dial buckets and binary heaps) that eliminates all
+//!   per-run allocation. Reset is a bulk `fill` of the distance row: measured
+//!   against an epoch-tagged visited array, the bulk reset wins because it keeps the
 //!   per-edge relaxation free of an extra mark load and branch.
 //! * [`par_map_rows`] / [`par_dist_rows`] / [`par_lex_rows_with`] — a
 //!   multi-source driver that partitions the sources across OS threads
@@ -98,23 +98,19 @@ pub struct DijkstraWorkspace {
     dist: Vec<Distance>,
     hops: Vec<Distance>,
     pred: Vec<u32>,
-    /// Heap for the plain run (compact 16-byte entries).
+    /// Heap for the plain run and the packed lexicographic run (compact
+    /// 16-byte entries).
     heap: BinaryHeap<Reverse<(Distance, u32)>>,
-    /// Heap for the lexicographic run (carries the hop count).
+    /// Heap for the unpacked lexicographic run (carries the hop count).
     heap_lex: BinaryHeap<Reverse<(Distance, Distance, u32)>>,
-    /// Circular buckets for Dial's queue (plain runs on graphs with small
-    /// maximum edge weight).
+    /// Circular buckets for Dial's queue (runs on graphs with small maximum
+    /// edge weight).
     buckets: Vec<Vec<u32>>,
 }
 
-/// Largest maximum edge weight for which the plain run uses Dial's bucket
-/// queue (`W + 1` circular buckets, `O(m + D)`) instead of a binary heap.
+/// Largest maximum edge weight for which both runs use Dial's bucket queue
+/// (`W + 1` circular distance buckets, `O(m + D)`) instead of a binary heap.
 const DIAL_MAX_WEIGHT: u64 = 64;
-
-/// Largest *transformed* edge weight (`w · K + 1` in the packed lexicographic
-/// encoding) for which the lex run uses Dial's bucket queue. The bucket array
-/// has this many entries, so the bound also caps the memory of the queue.
-const LEX_DIAL_MAX_WEIGHT: u64 = 1 << 14;
 
 impl DijkstraWorkspace {
     /// Creates an empty workspace; arrays are sized lazily on first use.
@@ -141,8 +137,8 @@ impl DijkstraWorkspace {
     /// hop tie-break avoids the extra relaxations the lexicographic variant
     /// performs on tie-heavy graphs.
     fn run_plain(&mut self, g: &Graph, source: NodeId, max_dist: Distance) {
-        if g.max_weight() <= DIAL_MAX_WEIGHT && g.len() > 1 {
-            self.run_dial(g, source, max_dist);
+        if g.max_weight() <= DIAL_MAX_WEIGHT {
+            self.run_dial::<false>(g, source, max_dist, INFINITY);
             return;
         }
         self.begin(g.len());
@@ -170,67 +166,65 @@ impl DijkstraWorkspace {
         }
     }
 
-    /// Dial's algorithm: plain Dijkstra with a circular bucket queue of
-    /// `W + 1` buckets — `O(m + D)` and heap-free for the small integer
-    /// weights every generator in this workspace produces. Stale bucket
-    /// entries are skipped via the `dist` check; since `w ≥ 1`, a relaxation
-    /// never lands in the bucket currently being drained.
-    fn run_dial(&mut self, g: &Graph, source: NodeId, max_dist: Distance) {
-        // W ≤ DIAL_MAX_WEIGHT keeps the key span ≤ 64n, so the plain run
-        // never needs the cursor budget.
-        self.run_dial_core(g, source, max_dist, 1, 0, INFINITY);
-    }
-
-    /// Shared Dial core over *affinely transformed* weights: every edge weight
-    /// `w` is relaxed as `w · wmul + wadd`. `(1, 0)` is the plain run;
-    /// `(K, 1)` is the packed lexicographic run (key `dist · K + hops`, see
-    /// [`DijkstraWorkspace::run_lex`]). The circular queue has
-    /// `W · wmul + wadd + 1` buckets; the bucket cursor and relaxation targets
-    /// are maintained incrementally (no division on the hot path).
+    /// Dial's algorithm over `W + 1` circular distance buckets — `O(m + D)`
+    /// and heap-free for the small integer weights every generator in this
+    /// workspace produces. Stale bucket entries are skipped via the `dist`
+    /// check; since `w ≥ 1`, a relaxation never lands in the bucket being
+    /// drained.
     ///
-    /// The cursor sweeps every key value up to the largest settled key, so
-    /// Dial's total cost is `O(m + span)` where `span` is the weighted
-    /// eccentricity times `wmul` — unknowable up front. `cursor_budget` caps
-    /// the sweep: when `cur` exceeds it the run bails out (returns `false`,
-    /// with the touched buckets cleared for reuse) so the caller can fall
-    /// back to the heap. The bail decision depends only on the graph and
-    /// source, keeping results deterministic.
-    fn run_dial_core(
+    /// With `LEX` the run also keeps the minimum hop count over
+    /// minimum-weight paths: an equal-distance relaxation with fewer hops
+    /// rewrites `hops`/`pred` in place without a push. That is exact because
+    /// every predecessor of a node on a minimum-weight path sits at a strictly
+    /// smaller distance (`w ≥ 1`), so all of them are settled — and have
+    /// relaxed — before the node's own bucket is drained: hops are final at
+    /// pop. The lexicographic run stops and returns `false` at the first node
+    /// it settles with more than `hop_cap` hops (buckets cleared for reuse);
+    /// the plain run ignores `hop_cap` and always returns `true`.
+    fn run_dial<const LEX: bool>(
         &mut self,
         g: &Graph,
         source: NodeId,
         max_dist: Distance,
-        wmul: u64,
-        wadd: u64,
-        cursor_budget: Distance,
+        hop_cap: Distance,
     ) -> bool {
-        self.begin(g.len());
-        let nb = (g.max_weight() * wmul + wadd) as usize + 1;
+        let n = g.len();
+        self.begin(n);
+        let nb = g.max_weight() as usize + 1;
         if self.buckets.len() < nb {
             self.buckets.resize(nb, Vec::new());
         }
         let s = source.index();
         self.dist[s] = 0;
         self.pred[s] = u32::MAX;
+        if LEX {
+            self.hops[..n].fill(INFINITY);
+            self.hops[s] = 0;
+        }
         self.buckets[0].push(source.raw());
         let mut remaining = 1usize;
         let mut cur: Distance = 0;
         let mut cb = 0usize; // cur % nb, maintained incrementally
         while remaining > 0 {
-            if cur > cursor_budget {
-                for b in self.buckets[..nb].iter_mut() {
-                    b.clear();
-                }
-                return false;
-            }
             while let Some(v_raw) = self.buckets[cb].pop() {
                 remaining -= 1;
                 let v = v_raw as usize;
                 if self.dist[v] != cur {
                     continue; // stale entry
                 }
+                let nh = if LEX {
+                    if self.hops[v] > hop_cap {
+                        for b in self.buckets[..nb].iter_mut() {
+                            b.clear();
+                        }
+                        return false;
+                    }
+                    self.hops[v] + 1
+                } else {
+                    0
+                };
                 for (u, w) in g.neighbors(NodeId::from(v_raw)) {
-                    let nd = cur + w * wmul + wadd;
+                    let nd = cur + w;
                     if nd > max_dist {
                         continue;
                     }
@@ -238,13 +232,19 @@ impl DijkstraWorkspace {
                     if nd < self.dist[ui] {
                         self.dist[ui] = nd;
                         self.pred[ui] = v_raw;
-                        // nd - cur ≤ W · wmul + wadd < nb: one wrap suffices.
-                        let mut target = cb + (nd - cur) as usize;
+                        if LEX {
+                            self.hops[ui] = nh;
+                        }
+                        // nd - cur ≤ W < nb: one wrap suffices.
+                        let mut target = cb + w as usize;
                         if target >= nb {
                             target -= nb;
                         }
                         self.buckets[target].push(u.raw());
                         remaining += 1;
+                    } else if LEX && nd == self.dist[ui] && nh < self.hops[ui] {
+                        self.hops[ui] = nh;
+                        self.pred[ui] = v_raw;
                     }
                 }
             }
@@ -275,41 +275,38 @@ impl DijkstraWorkspace {
         (max_cand_key < INFINITY).then_some(k)
     }
 
-    /// Core lexicographic run: `(dist, hops)` Dijkstra from `source`.
+    /// Core lexicographic run: `(dist, hops)` Dijkstra from `source`, leaving
+    /// the rows in `self.dist` / `self.hops`. Returns `false` — rows
+    /// incomplete — as soon as a node settles with more than `hop_cap` hops
+    /// (hops are final at settlement on every path below), `true` otherwise.
     ///
-    /// Fast path (taken whenever `(n − 1) · W · n` fits below [`INFINITY`],
-    /// i.e. for every polynomially-weighted graph the paper considers): pack
-    /// the pair into the single key `dist · K + hops` with `K = n > max hops`
-    /// — key order is exactly the lexicographic order, so the run degenerates
-    /// to a plain Dijkstra over transformed edge weights `w · K + 1`, halving
-    /// heap-entry traffic and tuple comparisons. `self.dist` holds packed
-    /// keys afterwards; [`DijkstraWorkspace::lex_into`] decodes. The general
-    /// two-key loop remains as fallback for extreme weights.
-    fn run_lex(&mut self, g: &Graph, source: NodeId) -> Option<u64> {
+    /// Three queues, by maximum weight `W`:
+    /// * `W ≤` [`DIAL_MAX_WEIGHT`]: Dial over distance buckets with the hop
+    ///   tie-break resolved in place ([`DijkstraWorkspace::run_dial`]).
+    /// * larger `W`, whenever `n · W · n` fits below [`INFINITY`] (every
+    ///   polynomially-weighted graph the paper considers): a plain heap over
+    ///   the packed key `dist · K + hops` with `K = n > max hops` — key order
+    ///   is exactly the lexicographic order, so it is a plain Dijkstra over
+    ///   transformed weights `w · K + 1`; the keys are decoded at the end.
+    /// * extreme weights: the two-key heap.
+    fn run_lex(&mut self, g: &Graph, source: NodeId, hop_cap: Distance) -> bool {
+        if g.max_weight() <= DIAL_MAX_WEIGHT {
+            return self.run_dial::<true>(g, source, INFINITY, hop_cap);
+        }
+        let n = g.len();
+        self.begin(n);
+        let s = source.index();
+        self.dist[s] = 0;
+        self.pred[s] = u32::MAX;
         if let Some(k) = Self::lex_pack_factor(g) {
-            // Dial fast path on the packed keys: the transformed weights
-            // `w · K + 1` are still small integers for every generator-scale
-            // graph, so the bucket queue replaces the binary heap here too
-            // (identical exact results, no `O(log n)` heap traffic). The
-            // cursor budget keeps high-diameter graphs (key span ≈ weighted
-            // eccentricity × K, e.g. long cycles) off this path: once the
-            // sweep exceeds roughly what a heap run would cost, Dial bails
-            // and the heap path below runs instead.
-            if g.max_weight() * k < LEX_DIAL_MAX_WEIGHT && g.len() > 1 {
-                let budget = 32 * (g.len() as u64 + g.num_edges() as u64);
-                if self.run_dial_core(g, source, INFINITY, k, 1, budget) {
-                    return Some(k);
-                }
-            }
-            self.begin(g.len());
-            let s = source.index();
-            self.dist[s] = 0;
-            self.pred[s] = u32::MAX;
             self.heap.push(Reverse((0, source.raw())));
             while let Some(Reverse((key, v_raw))) = self.heap.pop() {
                 let v = v_raw as usize;
                 if key > self.dist[v] {
                     continue; // stale entry
+                }
+                if key % k > hop_cap {
+                    return false;
                 }
                 for (u, w) in g.neighbors(NodeId::from(v_raw)) {
                     let nk = key + w * k + 1;
@@ -321,20 +318,26 @@ impl DijkstraWorkspace {
                     }
                 }
             }
-            return Some(k);
+            for (d, h) in self.dist[..n].iter_mut().zip(&mut self.hops[..n]) {
+                if *d == INFINITY {
+                    *h = INFINITY;
+                } else {
+                    *h = *d % k;
+                    *d /= k;
+                }
+            }
+            return true;
         }
-        self.begin(g.len());
-        let n = g.len();
         self.hops[..n].fill(INFINITY);
-        let s = source.index();
-        self.dist[s] = 0;
         self.hops[s] = 0;
-        self.pred[s] = u32::MAX;
         self.heap_lex.push(Reverse((0, 0, source.raw())));
         while let Some(Reverse((d, h, v_raw))) = self.heap_lex.pop() {
             let v = v_raw as usize;
             if (d, h) > (self.dist[v], self.hops[v]) {
                 continue; // stale entry
+            }
+            if h > hop_cap {
+                return false;
             }
             for (u, w) in g.neighbors(NodeId::from(v_raw)) {
                 let nd = dist_add(d, w);
@@ -348,7 +351,7 @@ impl DijkstraWorkspace {
                 }
             }
         }
-        None
+        true
     }
 
     /// Runs from `source` and writes the distance row into `out`
@@ -370,24 +373,32 @@ impl DijkstraWorkspace {
     ) {
         assert_eq!(dist_out.len(), g.len(), "output row must have one slot per node");
         assert_eq!(hops_out.len(), g.len(), "output row must have one slot per node");
-        match self.run_lex(g, source) {
-            Some(k) => {
-                for v in 0..g.len() {
-                    let key = self.dist[v];
-                    if key == INFINITY {
-                        dist_out[v] = INFINITY;
-                        hops_out[v] = INFINITY;
-                    } else {
-                        dist_out[v] = key / k;
-                        hops_out[v] = key % k;
-                    }
-                }
-            }
-            None => {
-                dist_out.copy_from_slice(&self.dist[..g.len()]);
-                hops_out.copy_from_slice(&self.hops[..g.len()]);
-            }
+        self.run_lex(g, source, INFINITY);
+        dist_out.copy_from_slice(&self.dist[..g.len()]);
+        hops_out.copy_from_slice(&self.hops[..g.len()]);
+    }
+
+    /// The `d_h` certificate: runs the lexicographic search from `source` and,
+    /// if every reachable node has a minimum-weight path of at most `h` hops,
+    /// writes the distance row into `out` and returns `true`. That row *is*
+    /// `d_h(source, ·)`: a minimum-weight path that fits in `h` hops gives
+    /// `d_h = d`, and unreachable nodes are [`INFINITY`] in both. Returns
+    /// `false`, with `out` untouched, at the first node settled beyond `h`
+    /// hops.
+    pub fn dist_within_hops_into(
+        &mut self,
+        g: &Graph,
+        source: NodeId,
+        h: usize,
+        out: &mut [Distance],
+    ) -> bool {
+        assert_eq!(out.len(), g.len(), "output row must have one slot per node");
+        let cap = Distance::try_from(h).unwrap_or(INFINITY);
+        if !self.run_lex(g, source, cap) {
+            return false;
         }
+        out.copy_from_slice(&self.dist[..g.len()]);
+        true
     }
 
     /// Weighted eccentricity of `source` ([`INFINITY`] if `source` does not
@@ -519,46 +530,61 @@ where
 /// Runs one lexicographic Dijkstra per source in parallel, splitting `out`
 /// into `sources.len()` rows of `g.len()` entries and invoking
 /// `f(source index, source, dist row, hops row, out row)` to fill each one.
+/// What `f` returns per row comes back in source order.
 ///
-/// This is the direct-write driver behind [`par_dist_rows`] and the
-/// `hybrid-core` APSP assembly: rows land in the final flat matrix without an
-/// intermediate copy.
-pub fn par_lex_rows_with<F>(g: &Graph, sources: &[NodeId], out: &mut [Distance], f: F)
+/// This is the direct-write driver behind the `hybrid-core` APSP assembly:
+/// rows land in the final flat matrix without an intermediate copy.
+pub fn par_lex_rows_with<T, F>(g: &Graph, sources: &[NodeId], out: &mut [Distance], f: F) -> Vec<T>
 where
-    F: Fn(usize, NodeId, &[Distance], &[Distance], &mut [Distance]) + Sync,
+    T: Send,
+    F: Fn(usize, NodeId, &[Distance], &[Distance], &mut [Distance]) -> T + Sync,
 {
     let n = g.len();
     let k = sources.len();
     assert_eq!(out.len(), n * k, "output must hold one row per source");
     if k == 0 {
-        return;
+        return Vec::new();
     }
     let threads = worker_count(k);
     if threads <= 1 {
         let mut ws = DijkstraWorkspace::new();
         let mut dist = vec![INFINITY; n];
         let mut hops = vec![INFINITY; n];
-        for (i, (&s, row)) in sources.iter().zip(out.chunks_mut(n)).enumerate() {
-            ws.lex_into(g, s, &mut dist, &mut hops);
-            f(i, s, &dist, &hops, row);
-        }
-        return;
+        return sources
+            .iter()
+            .zip(out.chunks_mut(n))
+            .enumerate()
+            .map(|(i, (&s, row))| {
+                ws.lex_into(g, s, &mut dist, &mut hops);
+                f(i, s, &dist, &hops, row)
+            })
+            .collect();
     }
     let chunk = k.div_ceil(threads);
     let f = &f;
     std::thread::scope(|scope| {
-        for ((ci, srcs), rows) in sources.chunks(chunk).enumerate().zip(out.chunks_mut(chunk * n)) {
-            scope.spawn(move || {
-                let mut ws = DijkstraWorkspace::new();
-                let mut dist = vec![INFINITY; n];
-                let mut hops = vec![INFINITY; n];
-                for (j, (&s, row)) in srcs.iter().zip(rows.chunks_mut(n)).enumerate() {
-                    ws.lex_into(g, s, &mut dist, &mut hops);
-                    f(ci * chunk + j, s, &dist, &hops, row);
-                }
-            });
-        }
-    });
+        let handles: Vec<_> = sources
+            .chunks(chunk)
+            .enumerate()
+            .zip(out.chunks_mut(chunk * n))
+            .map(|((ci, srcs), rows)| {
+                scope.spawn(move || {
+                    let mut ws = DijkstraWorkspace::new();
+                    let mut dist = vec![INFINITY; n];
+                    let mut hops = vec![INFINITY; n];
+                    srcs.iter()
+                        .zip(rows.chunks_mut(n))
+                        .enumerate()
+                        .map(|(j, (&s, row))| {
+                            ws.lex_into(g, s, &mut dist, &mut hops);
+                            f(ci * chunk + j, s, &dist, &hops, row)
+                        })
+                        .collect::<Vec<T>>()
+                })
+            })
+            .collect();
+        handles.into_iter().flat_map(|h| h.join().expect("dijkstra worker panicked")).collect()
+    })
 }
 
 /// Fills `out` (row-major, one row of `g.len()` distances per source) with
@@ -862,23 +888,18 @@ mod tests {
 
     #[test]
     fn lex_dial_matches_heap_packed_path() {
-        // Same topology, weights scaled so the packed key still fits but the
-        // transformed weight W·K+1 exceeds the Dial bucket bound: the heap
-        // path must agree with the Dial path up to the uniform weight scale
-        // (identical hop tie-breaks, scaled distances).
+        // Same topology, weights scaled past the Dial bound: the packed heap
+        // run must agree with the bucketed run up to the uniform weight
+        // scale (identical hop tie-breaks, scaled distances).
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
         let small = erdos_renyi_connected(40, 0.12, 8, &mut rng).unwrap();
-        assert!(small.max_weight() * (small.len() as u64) < super::LEX_DIAL_MAX_WEIGHT);
-        let scale = 520u64;
+        let scale = super::DIAL_MAX_WEIGHT + 1;
         let mut b = GraphBuilder::new(small.len());
         for e in small.edges() {
             b.add_edge(e.u, e.v, e.w * scale).unwrap();
         }
         let heavy = b.build().unwrap();
-        assert!(
-            heavy.max_weight() * heavy.len() as u64 + 1 > super::LEX_DIAL_MAX_WEIGHT,
-            "heavy graph must take the heap path"
-        );
+        assert!(heavy.max_weight() > super::DIAL_MAX_WEIGHT, "heavy graph must take the heap");
         assert!(DijkstraWorkspace::lex_pack_factor(&heavy).is_some(), "still packable");
         for v in small.nodes() {
             let (d_small, h_small) = dijkstra_lex(&small, v);
@@ -891,21 +912,32 @@ mod tests {
     }
 
     #[test]
-    fn lex_dial_bails_to_heap_on_high_diameter() {
-        // A long unit cycle: Dial would sweep ≈ (n/2)·n key values, far past
-        // the cursor budget, so the run must bail to the heap path — and the
-        // closed-form cycle distances pin that the fallback is correct.
+    fn lex_dial_on_high_diameter_cycle() {
+        // A long unit cycle: the distance buckets sweep only the weighted
+        // eccentricity (n/2), and the closed-form cycle distances pin it.
         let n = 2000usize;
         let g = cycle(n, 1).unwrap();
-        assert!(
-            g.max_weight() * (g.len() as u64) < super::LEX_DIAL_MAX_WEIGHT,
-            "cycle is Dial-eligible by the weight guard alone"
-        );
         let (dist, hops) = dijkstra_lex(&g, NodeId::new(0));
         for v in [1usize, 7, n / 2, n - 3] {
             let expect = v.min(n - v) as u64;
             assert_eq!(dist[v], expect, "node {v}");
             assert_eq!(hops[v], expect, "node {v}");
+        }
+    }
+
+    #[test]
+    fn hop_cap_certificate_stops_beyond_h() {
+        // Path 0–1–…–9: node 0 reaches node 9 in 9 hops, so the certificate
+        // holds for h ≥ 9 and fails below, on every queue.
+        for w in [1, super::DIAL_MAX_WEIGHT + 1] {
+            let g = path(10, w).unwrap();
+            let mut ws = DijkstraWorkspace::new();
+            let mut row = vec![7; 10];
+            assert!(!ws.dist_within_hops_into(&g, NodeId::new(0), 8, &mut row));
+            assert_eq!(row, vec![7; 10], "a failed certificate leaves the row alone");
+            assert!(ws.dist_within_hops_into(&g, NodeId::new(0), 9, &mut row));
+            assert_eq!(row, dijkstra(&g, NodeId::new(0)).as_slice());
+            assert!(ws.dist_within_hops_into(&g, NodeId::new(5), 5, &mut row));
         }
     }
 

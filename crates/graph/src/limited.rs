@@ -3,11 +3,20 @@
 //! when no such path exists.
 //!
 //! `d_h` is *not* a metric restriction of `d`: a hop-limited shortest path may be
-//! heavier than the true shortest path. It is computed by `h` rounds of
-//! Bellman–Ford relaxation, which is exactly what `h` rounds of local flooding
-//! compute in the LOCAL part of the HYBRID model — so this module is also the
-//! knowledge-semantics backend of the simulator's local phases.
+//! heavier than the true shortest path. It is defined here by `h` rounds of
+//! Bellman–Ford relaxation ([`hop_limited_distances`]), which is exactly what
+//! `h` rounds of local flooding compute in the LOCAL part of the HYBRID model —
+//! so this module is also the knowledge-semantics backend of the simulator's
+//! local phases.
+//!
+//! [`HopLimitedRows`] reaches the same rows faster when `h` is large: a
+//! lexicographic `(distance, hops)` Dijkstra that settles no node beyond `h`
+//! hops certifies that every minimum-weight path fits in `h` hops, so its
+//! distance row *is* the `d_h` row. The certificate is only a shortcut to the
+//! Bellman–Ford result, never a different definition; rows it cannot certify
+//! come from the Bellman–Ford.
 
+use crate::dijkstra::DijkstraWorkspace;
 use crate::dist::{dist_add, Distance, INFINITY};
 use crate::graph::Graph;
 use crate::ids::NodeId;
@@ -54,9 +63,35 @@ pub fn hop_limited_distances(g: &Graph, source: NodeId, h: usize) -> Vec<Distanc
     limited_distances_two_array(g, source, h)
 }
 
-/// `d_h(s, ·)` for every `s` in `sources`; rows are in the order of `sources`.
-pub fn hop_limited_from_set(g: &Graph, sources: &[NodeId], h: usize) -> Vec<Vec<Distance>> {
-    sources.iter().map(|&s| hop_limited_distances(g, s, h)).collect()
+/// Builder of many `d_h` rows over one graph and hop budget — the skeleton
+/// construction and repair kernel. Each row first tries the Dijkstra
+/// certificate ([`DijkstraWorkspace::dist_within_hops_into`]) with one reused
+/// workspace. At the first row the certificate rejects (some node settles
+/// beyond `h` hops), that row and every later row of the builder come from
+/// [`hop_limited_distances`]: on such a graph most rows fail the certificate,
+/// and trying it would only add a Dijkstra per row. Either way each row is
+/// bit-identical to [`hop_limited_distances`].
+#[derive(Debug, Default)]
+pub struct HopLimitedRows {
+    ws: DijkstraWorkspace,
+    /// Set at the first row the certificate rejects.
+    bellman_ford_only: bool,
+}
+
+impl HopLimitedRows {
+    /// A fresh builder; the certificate is tried until it first fails.
+    pub fn new() -> Self {
+        HopLimitedRows::default()
+    }
+
+    /// Writes `d_h(source, ·)` into `out` (`out.len() == g.len()`).
+    pub fn row_into(&mut self, g: &Graph, source: NodeId, h: usize, out: &mut [Distance]) {
+        if !self.bellman_ford_only && self.ws.dist_within_hops_into(g, source, h, out) {
+            return;
+        }
+        self.bellman_ford_only = true;
+        out.copy_from_slice(&hop_limited_distances(g, source, h));
+    }
 }
 
 /// Marks every node within `h` hops (unweighted) of any seed: multi-source
@@ -88,17 +123,6 @@ pub fn mark_within_hops(g: &Graph, seeds: &[NodeId], h: usize) -> Vec<bool> {
         frontier = next;
     }
     mark
-}
-
-/// Sparse view of `d_h(source, ·)`: only the reached `(node, distance)` pairs,
-/// sorted by node. Useful when `h`-hop balls are much smaller than `n`.
-pub fn hop_limited_sparse(g: &Graph, source: NodeId, h: usize) -> Vec<(NodeId, Distance)> {
-    hop_limited_distances(g, source, h)
-        .into_iter()
-        .enumerate()
-        .filter(|&(_, d)| d != INFINITY)
-        .map(|(i, d)| (NodeId::new(i), d))
-        .collect()
 }
 
 #[cfg(test)]
@@ -175,17 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_matches_dense() {
-        let g = path(8, 2).unwrap();
-        let dense = hop_limited_distances(&g, NodeId::new(0), 3);
-        let sparse = hop_limited_sparse(&g, NodeId::new(0), 3);
-        assert_eq!(sparse.len(), 4);
-        for (v, d) in sparse {
-            assert_eq!(dense[v.index()], d);
-        }
-    }
-
-    #[test]
     fn mark_within_hops_is_the_bfs_ball() {
         let g = path(10, 7).unwrap(); // weights are irrelevant: hops only
         let mark = mark_within_hops(&g, &[NodeId::new(3), NodeId::new(8)], 2);
@@ -195,14 +208,5 @@ mod tests {
         let zero = mark_within_hops(&g, &[NodeId::new(4)], 0);
         assert_eq!(zero.iter().filter(|&&m| m).count(), 1);
         assert!(zero[4]);
-    }
-
-    #[test]
-    fn from_set_rows_align() {
-        let g = path(5, 1).unwrap();
-        let rows = hop_limited_from_set(&g, &[NodeId::new(0), NodeId::new(4)], 2);
-        assert_eq!(rows[0][2], 2);
-        assert_eq!(rows[1][2], 2);
-        assert_eq!(rows[0][4], INFINITY);
     }
 }

@@ -18,7 +18,7 @@ use crate::dijkstra::dijkstra_lex;
 use crate::dist::{Distance, INFINITY};
 use crate::graph::{Graph, GraphBuilder, GraphError};
 use crate::ids::NodeId;
-use crate::limited::hop_limited_distances;
+use crate::limited::HopLimitedRows;
 
 /// Parameters of skeleton construction.
 ///
@@ -123,9 +123,10 @@ impl Skeleton {
             index[v.index()] = i as u32;
         }
         let gn = g.len();
-        let mut dh = Vec::with_capacity(nodes.len() * gn);
-        for &s in &nodes {
-            dh.extend_from_slice(&hop_limited_distances(g, s, h));
+        let mut dh = vec![INFINITY; nodes.len() * gn];
+        let mut rows = HopLimitedRows::new();
+        for (&s, row) in nodes.iter().zip(dh.chunks_exact_mut(gn)) {
+            rows.row_into(g, s, h, row);
         }
         let mut b = GraphBuilder::new(nodes.len());
         for (i, row) in dh.chunks_exact(gn).enumerate() {
@@ -252,10 +253,10 @@ impl Skeleton {
         assert_eq!(dirty.len(), self.gn, "dirty mask must cover every node");
         let mut dh = self.dh.clone();
         let mut patched = 0usize;
-        for (i, &s) in self.nodes.iter().enumerate() {
+        let mut rows = HopLimitedRows::new();
+        for (&s, row) in self.nodes.iter().zip(dh.chunks_exact_mut(self.gn)) {
             if dirty[s.index()] {
-                let row = hop_limited_distances(g, s, self.h);
-                dh[i * self.gn..(i + 1) * self.gn].copy_from_slice(&row);
+                rows.row_into(g, s, self.h, row);
                 patched += 1;
             }
         }

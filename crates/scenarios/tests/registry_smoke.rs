@@ -47,3 +47,21 @@ fn runs_are_deterministic_from_scenario_and_seed() {
         );
     }
 }
+
+#[test]
+fn bit_parallel_balls_match_per_node_bfs_on_every_registry_graph() {
+    use hybrid_graph::bfs::{local_max_hop, local_max_hops};
+    // 70 is not a multiple of 64: the second batch is a partial word. The
+    // radii 2 and 3 stop batches while frontiers are still live.
+    for s in registry() {
+        for n in [SMOKE_N, 70] {
+            let g = s.graph(n);
+            for r in [0, 1, 2, 3, g.len() + 5] {
+                let fast = local_max_hops(&g, r);
+                for v in g.nodes() {
+                    assert_eq!(fast[v.index()], local_max_hop(&g, v, r), "{} n={n} r={r}", s.name);
+                }
+            }
+        }
+    }
+}

@@ -17,7 +17,7 @@ use hybrid_sim::{FaultPlan, HybridConfig, HybridNet};
 
 /// Floor charged per cached session so even an unqueried (zero-byte) session
 /// occupies budget and can be evicted.
-const MIN_ENTRY_BYTES: usize = 1024;
+pub const MIN_ENTRY_BYTES: usize = 1024;
 
 // ---------------------------------------------------------------------------
 // FNV-1a digests

@@ -73,7 +73,7 @@ pub mod tcp;
 
 pub use broker::{
     graph_fingerprint, report_digest, Broker, BrokerConfig, BrokerStats, CatalogUpdate,
-    GraphCatalog, Request, Response, ServeError, TenantConfig, UpdateOutcome,
+    GraphCatalog, Request, Response, ServeError, TenantConfig, UpdateOutcome, MIN_ENTRY_BYTES,
 };
 pub use loadgen::{run_load, LoadReport, LoadSpec, LoadUpdate};
 pub use protocol::{
