@@ -238,6 +238,29 @@ fn every_bench_file_at_the_root_is_checked() {
 }
 
 #[test]
+fn chaos_record_covers_every_chaos_scenario_in_registry_order() {
+    // `BENCH_chaos.json` holds one record per `chaos`-tagged registry
+    // scenario; a scenario added to the tag without regenerating the file
+    // fails here.
+    let text = std::fs::read_to_string(repo_root().join("BENCH_chaos.json"))
+        .expect("BENCH_chaos.json is committed");
+    let doc = Parser::parse_document(&text).expect("BENCH_chaos.json parses");
+    let Some(Value::Arr(records)) = doc.get("records") else {
+        panic!("BENCH_chaos.json: \"records\" must be an array");
+    };
+    let recorded: Vec<&str> = records
+        .iter()
+        .map(|r| match r.get("scenario") {
+            Some(Value::Str(name)) => name.as_str(),
+            other => panic!("chaos record without a scenario name: {other:?}"),
+        })
+        .collect();
+    let registered: Vec<&str> =
+        hybrid_scenarios::by_tag("chaos").iter().map(|sc| sc.name).collect();
+    assert_eq!(recorded, registered, "BENCH_chaos.json is stale: regenerate it");
+}
+
+#[test]
 fn the_parser_rejects_malformed_documents() {
     for bad in ["{", "{\"a\": 1,}", "[1 2]", "{\"a\": tru}", "{} x", "\"\\q\""] {
         assert!(Parser::parse_document(bad).is_err(), "{bad:?} must not parse");

@@ -1,7 +1,6 @@
 //! CLIQUE diameter algorithms (plugins for Theorem 5.1).
 
 use hybrid_graph::apsp::weighted_diameter;
-use hybrid_graph::minplus::par_row_map;
 use hybrid_graph::{Distance, Graph, NodeId, INFINITY};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -48,11 +47,12 @@ impl CliqueDiameterAlgorithm for ExactDiameter {
         let d = SemiringApsp::new().apsp(net, g)?;
         // Each node v computes its eccentricity from its row and sends it to node
         // 0, which takes the max and (conceptually) broadcasts — two clique
-        // rounds, simulated explicitly. The per-node row reduction is
-        // assembled through the min-plus module's parallel row driver.
-        let n = g.len();
-        let eccs: Vec<Distance> =
-            par_row_map(d.as_flat(), n, n, |_, row| row.iter().copied().max().unwrap_or(0));
+        // rounds, simulated explicitly.
+        let eccs: Vec<Distance> = d
+            .as_flat()
+            .chunks_exact(g.len())
+            .map(|row| row.iter().copied().max().unwrap_or(0))
+            .collect();
         let mut batch = Vec::new();
         for v in g.nodes() {
             if v.index() != 0 {

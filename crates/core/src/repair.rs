@@ -88,7 +88,7 @@ impl RepairReport {
 /// Migrates every built preamble of `old` onto `new_graph`, producing a fresh
 /// [`Prepared`] bit-identical to what a cold session on `new_graph` would
 /// build for the same keys.
-pub(crate) fn repair_prepared(
+pub(crate) fn repair(
     old_graph: &Graph,
     new_graph: &Graph,
     batch: &DeltaBatch,

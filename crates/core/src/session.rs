@@ -54,13 +54,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use hybrid_graph::{DeltaBatch, Graph};
-use hybrid_sim::{FaultPlan, HybridConfig, HybridNet, Metrics, Recorder, TraceEvent};
+use hybrid_sim::{FaultPlan, HybridConfig, HybridNet, Metrics, Recorder};
 
 use crate::error::HybridError;
 use crate::prepare::Prep;
 pub use crate::prepare::Prepared;
-use crate::repair::{repair_prepared, RepairReport};
-use crate::solver::{solve_inner, Query, QueryError, Report, SourceSet, SsspVariant};
+use crate::repair::{repair, RepairReport};
+use crate::solver::{solve_inner, Query, QueryError, Report, SourceSet, SsspVariant, DEFAULT_XI};
 
 /// Configuration of a [`Session`]: the pinned root seed and skeleton
 /// constant the preprocessing is derived from, plus the simulated network's
@@ -69,7 +69,7 @@ use crate::solver::{solve_inner, Query, QueryError, Report, SourceSet, SsspVaria
 pub struct SessionConfig {
     /// Root seed of every query served by this session. All preprocessing
     /// (skeleton sampling, source resolution, routing hashes) derives from
-    /// it; [`Session::solve_seeded`] rejects any other seed.
+    /// it.
     pub seed: u64,
     /// The skeleton radius constant `ξ` the prepared artifacts are built
     /// with. Queries carrying a different `ξ` are rejected with
@@ -100,7 +100,7 @@ impl SessionConfig {
     pub fn new(seed: u64) -> Self {
         SessionConfig {
             seed,
-            xi: 1.5,
+            xi: DEFAULT_XI,
             net: HybridConfig::default(),
             faults: None,
             round_threads: None,
@@ -269,7 +269,7 @@ impl Session {
     pub fn apply_delta(&self, batch: &DeltaBatch) -> Result<(Session, RepairReport), HybridError> {
         let new_graph = Arc::new(self.graph.apply_delta(batch)?);
         let (prepared, mut report) =
-            repair_prepared(&self.graph, &new_graph, batch, &self.prepared, &self.cfg)?;
+            repair(&self.graph, &new_graph, batch, &self.prepared, &self.cfg)?;
         let epoch = self.epoch + 1;
         report.epoch = epoch;
         Ok((
@@ -328,25 +328,52 @@ impl Session {
         Ok(())
     }
 
-    /// A fresh simulated net for one query, configured exactly as a cold
-    /// caller would: the session's [`HybridConfig`] and fault plan.
-    fn fresh_net(&self) -> HybridNet<'_> {
+    /// The one serving body behind [`Session::solve`],
+    /// [`Session::solve_with_metrics`] and [`Session::solve_traced`]: counts
+    /// and validates the query, serves a report-memo hit when `memo_hits`
+    /// allows one, and otherwise runs the protocol end to end on a fresh net
+    /// configured exactly as a cold caller's would be (the session's
+    /// [`HybridConfig`] and fault plan), serving preprocessing from the
+    /// prepared artifact when caching is sound. With `trace` set the run is
+    /// recorded. Returns the result, the net's full metrics (empty when no
+    /// protocol ran) and the recorder.
+    fn serve(
+        &self,
+        query: &Query,
+        memo_hits: bool,
+        trace: bool,
+    ) -> (Result<Report, HybridError>, Metrics, Option<Recorder>) {
+        self.queries.fetch_add(1, Ordering::Relaxed);
+        let checked =
+            query.validate().map_err(HybridError::Query).and_then(|()| self.check_xi(query));
+        if let Err(e) = checked {
+            return (Err(e), Metrics::new(), trace.then(Recorder::new));
+        }
+        let key = self.cacheable().then(|| (self.epoch, query_key(query)));
+        if let (true, Some(key)) = (memo_hits, &key) {
+            if let Some(report) = self.reports.lock().expect("report memo lock").get(key) {
+                self.report_hits.fetch_add(1, Ordering::Relaxed);
+                return (Ok(report.clone()), Metrics::new(), None);
+            }
+        }
         let mut net = HybridNet::new(&self.graph, self.cfg.net);
         if let Some(plan) = &self.cfg.faults {
             net.inject_faults(plan).expect("fault plan validated at session construction");
         }
-        net
-    }
-
-    /// Runs `query` end to end on a fresh net, serving preprocessing from
-    /// the prepared artifact when caching is sound. Returns the result plus
-    /// the net's full metrics (the scenario runner reads partial rounds and
-    /// message counts off them on structured errors).
-    fn execute(&self, query: &Query) -> (Result<Report, HybridError>, Metrics) {
-        let mut net = self.fresh_net();
-        let prep = if self.cacheable() { Prep::Warm(&self.prepared) } else { Prep::Cold };
+        if trace {
+            net.set_trace(Recorder::new());
+        }
+        let prep = if key.is_some() { Prep::Warm(&self.prepared) } else { Prep::Cold };
         let result = solve_inner(&mut net, query, self.cfg.seed, prep);
-        (result, net.into_metrics())
+        let rec = net.take_trace();
+        if let (Some(key), Ok(report)) = (key, &result) {
+            self.reports
+                .lock()
+                .expect("report memo lock")
+                .entry(key)
+                .or_insert_with(|| report.clone());
+        }
+        (result, net.into_metrics(), rec)
     }
 
     /// Serves `query` under the session seed (see the module docs for the
@@ -358,40 +385,7 @@ impl Session {
     ///   [`QueryError::SessionXiMismatch`].
     /// * Any simulator/protocol error a fresh `solve` would produce.
     pub fn solve(&self, query: &Query) -> Result<Report, HybridError> {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        query.validate().map_err(HybridError::Query)?;
-        self.check_xi(query)?;
-        if !self.cacheable() {
-            return self.execute(query).0;
-        }
-        let key = (self.epoch, query_key(query));
-        if let Some(report) = self.reports.lock().expect("report memo lock").get(&key) {
-            self.report_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(report.clone());
-        }
-        let (result, _) = self.execute(query);
-        if let Ok(report) = &result {
-            self.reports.lock().expect("report memo lock").insert(key, report.clone());
-        }
-        result
-    }
-
-    /// Like [`Session::solve`], but verifies the caller's `seed` against the
-    /// session's pinned seed first — the guard for callers that thread seeds
-    /// separately from sessions.
-    ///
-    /// # Errors
-    ///
-    /// [`QueryError::SessionSeedMismatch`] (wrapped) when `seed` differs from
-    /// the session seed; otherwise as [`Session::solve`].
-    pub fn solve_seeded(&self, query: &Query, seed: u64) -> Result<Report, HybridError> {
-        if seed != self.cfg.seed {
-            return Err(HybridError::Query(QueryError::SessionSeedMismatch {
-                expected: self.cfg.seed,
-                got: seed,
-            }));
-        }
-        self.solve(query)
+        self.serve(query, true, false).0
     }
 
     /// Serves `query` and returns the executing net's full [`Metrics`]
@@ -400,95 +394,18 @@ impl Session {
     /// scenario runner uses this to report partial rounds and message counts
     /// for structured-error runs.
     pub fn solve_with_metrics(&self, query: &Query) -> (Result<Report, HybridError>, Metrics) {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        if let Err(e) = query.validate() {
-            return (Err(HybridError::Query(e)), Metrics::new());
-        }
-        if let Err(e) = self.check_xi(query) {
-            return (Err(e), Metrics::new());
-        }
-        let (result, metrics) = self.execute(query);
-        if self.cacheable() {
-            if let Ok(report) = &result {
-                self.reports
-                    .lock()
-                    .expect("report memo lock")
-                    .entry((self.epoch, query_key(query)))
-                    .or_insert_with(|| report.clone());
-            }
-        }
+        let (result, metrics, _) = self.serve(query, false, false);
         (result, metrics)
     }
 
     /// Like [`Session::solve_with_metrics`], but also records a structured
     /// trace of the run (the report memo is bypassed so the trace describes a
     /// real protocol run; preprocessing is still shared, so cache hits show
-    /// up as [`TraceEvent::Cache`] events). The returned recorder reconciles
-    /// exactly against the returned metrics.
+    /// up as [`hybrid_sim::TraceEvent::Cache`] events). The returned recorder
+    /// reconciles exactly against the returned metrics.
     pub fn solve_traced(&self, query: &Query) -> (Result<Report, HybridError>, Metrics, Recorder) {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        if let Err(e) = query.validate() {
-            return (Err(HybridError::Query(e)), Metrics::new(), Recorder::new());
-        }
-        if let Err(e) = self.check_xi(query) {
-            return (Err(e), Metrics::new(), Recorder::new());
-        }
-        let mut net = self.fresh_net();
-        net.set_trace(Recorder::new());
-        let prep = if self.cacheable() { Prep::Warm(&self.prepared) } else { Prep::Cold };
-        let result = solve_inner(&mut net, query, self.cfg.seed, prep);
-        let rec = net.take_trace().expect("recorder installed above");
-        if self.cacheable() {
-            if let Ok(report) = &result {
-                self.reports
-                    .lock()
-                    .expect("report memo lock")
-                    .entry((self.epoch, query_key(query)))
-                    .or_insert_with(|| report.clone());
-            }
-        }
-        (result, net.into_metrics(), rec)
-    }
-
-    /// Serves a batch serially with one merged trace: every input gets a
-    /// `batch[i]:<label>` span, protocol runs carry their full event stream,
-    /// and memo-served repeats appear as report-cache hit events instead of
-    /// re-running — the per-item cost structure of a serving workload, made
-    /// visible. Results are bit-identical to [`Session::solve_batch`] on the
-    /// same inputs.
-    pub fn solve_batch_traced(
-        &self,
-        queries: &[Query],
-    ) -> (Vec<Result<Report, HybridError>>, Recorder) {
-        let mut rec = Recorder::new();
-        let mut results = Vec::with_capacity(queries.len());
-        for (i, q) in queries.iter().enumerate() {
-            let span = format!("batch[{i}]:{}", q.label());
-            let memo = if self.cacheable() && q.validate().is_ok() && self.check_xi(q).is_ok() {
-                self.reports
-                    .lock()
-                    .expect("report memo lock")
-                    .get(&(self.epoch, query_key(q)))
-                    .cloned()
-            } else {
-                None
-            };
-            if let Some(report) = memo {
-                self.queries.fetch_add(1, Ordering::Relaxed);
-                self.report_hits.fetch_add(1, Ordering::Relaxed);
-                rec.span_begin(&span, 0);
-                rec.record(TraceEvent::Cache { name: format!("report:{}", q.label()), hit: true });
-                rec.span_end(&span, 0);
-                results.push(Ok(report));
-                continue;
-            }
-            let (result, metrics, item) = self.solve_traced(q);
-            rec.span_begin(&span, 0);
-            rec.merge(&item);
-            rec.span_end(&span, metrics.rounds);
-            results.push(result);
-        }
-        (results, rec)
+        let (result, metrics, rec) = self.serve(query, false, true);
+        (result, metrics, rec.expect("traced runs install a recorder"))
     }
 
     /// Serves a batch of independent queries, returning one result per input
@@ -568,6 +485,7 @@ mod tests {
     use crate::solver::{solve, DiameterCorollary, KsspCorollary};
     use hybrid_graph::generators::{erdos_renyi_connected, grid};
     use hybrid_graph::NodeId;
+    use hybrid_sim::TraceEvent;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -638,7 +556,7 @@ mod tests {
     }
 
     #[test]
-    fn xi_and_seed_mismatches_are_structured_errors() {
+    fn xi_mismatches_are_structured_errors() {
         let g = grid(6, 6, 1).unwrap();
         let session = Session::new(&g, SessionConfig::new(3)).unwrap();
         let q = Query::apsp().xi(2.0).build().unwrap();
@@ -647,16 +565,6 @@ mod tests {
             matches!(err, HybridError::Query(QueryError::SessionXiMismatch { got, .. }) if got == 2.0),
             "{err:?}"
         );
-        let ok = Query::apsp().build().unwrap();
-        let err = session.solve_seeded(&ok, 4).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                HybridError::Query(QueryError::SessionSeedMismatch { expected: 3, got: 4 })
-            ),
-            "{err:?}"
-        );
-        assert!(session.solve_seeded(&ok, 3).is_ok());
         // The LOCAL baselines ignore ξ and pass under any value.
         let local = Query::apsp().variant(crate::solver::ApspVariant::LocalFlood).build().unwrap();
         assert!(session.solve(&local).is_ok());
@@ -705,51 +613,6 @@ mod tests {
         assert!(cache_events(&rec2, true) >= 1, "second run hits the skeleton cache");
         assert_eq!(cache_events(&rec2, false), 0);
         assert_eq!(r1.rounds, r2.rounds, "the replayed bill is identical");
-    }
-
-    #[test]
-    fn traced_batch_matches_plain_batch_and_shows_memo_hits() {
-        let g = grid(7, 7, 1).unwrap();
-        let a = Query::apsp().build().unwrap();
-        let b = Query::sssp(NodeId::new(0)).build().unwrap();
-        let batch = vec![a.clone(), b.clone(), a.clone(), a.clone()];
-        let plain = Session::new(&g, SessionConfig::new(9)).unwrap();
-        let expected = plain.solve_batch(&batch);
-        let traced = Session::new(&g, SessionConfig::new(9)).unwrap();
-        let (results, rec) = traced.solve_batch_traced(&batch);
-        assert_eq!(results.len(), expected.len());
-        for (got, want) in results.iter().zip(&expected) {
-            assert_same_report(got.as_ref().unwrap(), want.as_ref().unwrap());
-        }
-        // One span per input, in order; the two repeats of `a` are memo hits.
-        let spans: Vec<&str> = rec
-            .events()
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::SpanBegin { name, .. } if name.starts_with("batch[") => {
-                    Some(name.as_str())
-                }
-                _ => None,
-            })
-            .collect();
-        assert_eq!(
-            spans,
-            [
-                "batch[0]:apsp-thm11",
-                "batch[1]:sssp-thm13",
-                "batch[2]:apsp-thm11",
-                "batch[3]:apsp-thm11"
-            ]
-        );
-        let memo_hits = rec
-            .events()
-            .iter()
-            .filter(|e| {
-                matches!(e, TraceEvent::Cache { name, hit: true } if name.starts_with("report:"))
-            })
-            .count();
-        assert_eq!(memo_hits, 2);
-        assert_eq!(traced.stats().report_hits, 2);
     }
 
     #[test]

@@ -17,10 +17,9 @@
 //!   run's actual exploration radius) — so verification layers read the
 //!   contract off the report instead of recomputing it per algorithm.
 //!
-//! The legacy free functions ([`crate::apsp::exact_apsp`],
-//! [`crate::ksssp::kssp_cor46`], …) remain as the internal protocol
-//! implementations — `solve` is a thin, behavior-preserving dispatcher over
-//! them, so their unit tests keep pinning protocol behavior bit-for-bit.
+//! Each algorithm is implemented once, in a crate-private protocol module
+//! (`apsp`, `sssp`, `ksssp`, `diameter`). `solve` and
+//! [`crate::session::Session`] are the only public ways to run one.
 //!
 //! # Example
 //!
@@ -46,14 +45,16 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::fmt;
 
-use crate::apsp::{apsp_local_only, exact_apsp_prepared, exact_apsp_soda20_prepared, ApspConfig};
-use crate::diameter::{diameter_cor52_prepared, diameter_cor53_prepared, DiameterConfig};
+use crate::apsp::{apsp_local_only, exact_apsp, exact_apsp_soda20};
+use crate::diameter::{diameter_cor52, diameter_cor53};
 use crate::error::HybridError;
-use crate::ksssp::{kssp_cor46_prepared, kssp_cor47_prepared, kssp_cor48_prepared, KsspConfig};
+use crate::ksssp::{kssp_cor46, kssp_cor47, kssp_cor48};
 use crate::prepare::Prep;
-use crate::sssp::{
-    approx_sssp_soda20_prepared, exact_sssp_prepared, sssp_local_bellman_ford, SsspConfig,
-};
+use crate::sssp::{approx_sssp_soda20, exact_sssp, sssp_local_bellman_ford};
+
+/// The default skeleton radius constant `ξ` of every query builder and of
+/// [`crate::session::SessionConfig::new`].
+pub(crate) const DEFAULT_XI: f64 = 1.5;
 
 /// A structurally valid query with invalid *parameters* — rejected by the
 /// builders at construction and by [`solve`] as a backstop for hand-built
@@ -91,14 +92,6 @@ pub enum QueryError {
         /// The query's ξ.
         got: f64,
     },
-    /// A [`crate::session::Session`] was asked to solve under a different
-    /// seed than the one its preprocessing was derived from.
-    SessionSeedMismatch {
-        /// The session's pinned root seed.
-        expected: u64,
-        /// The requested seed.
-        got: u64,
-    },
 }
 
 impl fmt::Display for QueryError {
@@ -122,13 +115,6 @@ impl fmt::Display for QueryError {
                     f,
                     "query ξ = {got} does not match the session's prepared ξ = {expected} \
                      (open a session with the matching constant instead of re-preprocessing)"
-                )
-            }
-            QueryError::SessionSeedMismatch { expected, got } => {
-                write!(
-                    f,
-                    "seed {got} does not match the session's root seed {expected} \
-                     (preprocessing is derived from the session seed)"
                 )
             }
         }
@@ -273,14 +259,25 @@ pub fn random_sources(n: usize, k: usize, seed: u64) -> Vec<NodeId> {
 /// [`Query::sssp`], [`Query::kssp`], [`Query::diameter`]), which validate
 /// parameters up front; [`solve`] re-validates as a backstop for hand-built
 /// values.
+///
+/// # The skeleton radius constant `ξ`
+///
+/// Every skeleton-based algorithm samples a skeleton of `|V_S| ≈ n^x` nodes,
+/// with the exponent `x` fixed by the algorithm (each builder's `xi` method
+/// names it), and joins the skeleton nodes by paths of up to
+/// `h = ⌈ξ · n^{1−x} · ln n⌉` hops. A larger `ξ` means a larger `h`: more
+/// local exploration rounds, but a lower Lemma C.1 failure probability. The
+/// paper's w.h.p. guarantee wants `ξ ≥ 8`, which exceeds most graph
+/// diameters at simulable `n`, so experiments document the value they use.
+/// Every builder defaults to `ξ = 1.5`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Query {
     /// Exact all-pairs shortest paths.
     Apsp {
         /// Which APSP pipeline.
         variant: ApspVariant,
-        /// Skeleton radius constant `ξ` (see [`ApspConfig::xi`]; ignored by
-        /// [`ApspVariant::LocalFlood`]).
+        /// Skeleton radius constant `ξ` (see [`ApspQueryBuilder::xi`]; ignored
+        /// by [`ApspVariant::LocalFlood`]).
         xi: f64,
     },
     /// Single-source shortest paths.
@@ -289,8 +286,8 @@ pub enum Query {
         variant: SsspVariant,
         /// The source node.
         source: NodeId,
-        /// Skeleton radius constant `ξ` (see [`SsspConfig::xi`]; ignored by
-        /// [`SsspVariant::LocalBellmanFord`]).
+        /// Skeleton radius constant `ξ` (see [`SsspQueryBuilder::xi`];
+        /// ignored by [`SsspVariant::LocalBellmanFord`]).
         xi: f64,
     },
     /// k-source shortest paths (Theorem 4.1 framework).
@@ -301,7 +298,7 @@ pub enum Query {
         sources: SourceSet,
         /// Approximation parameter `ε ∈ (0, 1)`.
         eps: f64,
-        /// Skeleton radius constant `ξ` (see [`KsspConfig::xi`]).
+        /// Skeleton radius constant `ξ` (see [`KsspQueryBuilder::xi`]).
         xi: f64,
     },
     /// Diameter approximation (Theorem 5.1 framework) on an unweighted graph.
@@ -310,7 +307,7 @@ pub enum Query {
         cor: DiameterCorollary,
         /// Approximation parameter `ε ∈ (0, 1)`.
         eps: f64,
-        /// Skeleton radius constant `ξ` (see [`DiameterConfig::xi`]).
+        /// Skeleton radius constant `ξ` (see [`DiameterQueryBuilder::xi`]).
         xi: f64,
     },
 }
@@ -335,25 +332,25 @@ impl Query {
     /// Builder for an exact-APSP query (default: [`ApspVariant::Thm11`],
     /// `ξ = 1.5`).
     pub fn apsp() -> ApspQueryBuilder {
-        ApspQueryBuilder { variant: ApspVariant::Thm11, xi: 1.5 }
+        ApspQueryBuilder { variant: ApspVariant::Thm11, xi: DEFAULT_XI }
     }
 
     /// Builder for an SSSP query from `source` (default:
     /// [`SsspVariant::Thm13`], `ξ = 1.5`).
     pub fn sssp(source: NodeId) -> SsspQueryBuilder {
-        SsspQueryBuilder { variant: SsspVariant::Thm13, source, xi: 1.5 }
+        SsspQueryBuilder { variant: SsspVariant::Thm13, source, xi: DEFAULT_XI }
     }
 
     /// Builder for a k-SSP query under corollary `cor` (default: `ε = 0.5`,
     /// `ξ = 1.5`; the sources must be set).
     pub fn kssp(cor: KsspCorollary) -> KsspQueryBuilder {
-        KsspQueryBuilder { cor, sources: None, eps: 0.5, xi: 1.5 }
+        KsspQueryBuilder { cor, sources: None, eps: 0.5, xi: DEFAULT_XI }
     }
 
     /// Builder for a diameter query under corollary `cor` (default: `ε = 0.5`,
     /// `ξ = 1.5`).
     pub fn diameter(cor: DiameterCorollary) -> DiameterQueryBuilder {
-        DiameterQueryBuilder { cor, eps: 0.5, xi: 1.5 }
+        DiameterQueryBuilder { cor, eps: 0.5, xi: DEFAULT_XI }
     }
 
     /// The canonical label of this query — stable across releases; used by
@@ -425,7 +422,11 @@ impl ApspQueryBuilder {
         self
     }
 
-    /// Sets the skeleton radius constant `ξ` (must be positive and finite).
+    /// Sets the skeleton radius constant `ξ` (positive and finite; default
+    /// 1.5; ignored by [`ApspVariant::LocalFlood`]). Theorem 1.1 samples its
+    /// skeleton at `x = 1/2`, so `h = ⌈ξ · √n · ln n⌉`; the SODA'20 baseline
+    /// samples at `x = 1/3`, so `h = ⌈ξ · n^{2/3} · ln n⌉`. See [`Query`] for
+    /// the trade-off and the `ξ ≥ 8` caveat.
     pub fn xi(mut self, xi: f64) -> Self {
         self.xi = xi;
         self
@@ -454,7 +455,11 @@ impl SsspQueryBuilder {
         self
     }
 
-    /// Sets the skeleton radius constant `ξ` (must be positive and finite).
+    /// Sets the skeleton radius constant `ξ` (positive and finite; default
+    /// 1.5; ignored by [`SsspVariant::LocalBellmanFord`]). Theorem 1.3 runs
+    /// the Theorem 4.1 framework at `δ = 1/6`, i.e. `x = 2/(3+2δ) = 3/5`, so
+    /// `h = ⌈ξ · n^{2/5} · ln n⌉`; the approximate SODA'20 SSSP runs at
+    /// `x = 2/3`. See [`Query`] for the trade-off and the `ξ ≥ 8` caveat.
     pub fn xi(mut self, xi: f64) -> Self {
         self.xi = xi;
         self
@@ -497,7 +502,11 @@ impl KsspQueryBuilder {
         self
     }
 
-    /// Sets the skeleton radius constant `ξ` (must be positive and finite).
+    /// Sets the skeleton radius constant `ξ` (positive and finite; default
+    /// 1.5). The Theorem 4.1 framework samples at `x = 2/(3+2δ)` for the
+    /// plugged CLIQUE algorithm's `δ`: `x = 2/3` for Corollaries 4.6 and
+    /// 4.7, `x ≈ 0.604` for Corollary 4.8, and `h = ⌈ξ · n^{1−x} · ln n⌉`.
+    /// See [`Query`] for the trade-off and the `ξ ≥ 8` caveat.
     pub fn xi(mut self, xi: f64) -> Self {
         self.xi = xi;
         self
@@ -527,7 +536,11 @@ impl DiameterQueryBuilder {
         self
     }
 
-    /// Sets the skeleton radius constant `ξ` (must be positive and finite).
+    /// Sets the skeleton radius constant `ξ` (positive and finite; default
+    /// 1.5). The Theorem 5.1 framework samples at `x = 2/(3+2δ)` for the
+    /// plugged CLIQUE algorithm's `δ`: `x = 2/3` for Corollary 5.2,
+    /// `x ≈ 0.604` for Corollary 5.3, and `h = ⌈ξ · n^{1−x} · ln n⌉`. See
+    /// [`Query`] for the trade-off and the `ξ ≥ 8` caveat.
     pub fn xi(mut self, xi: f64) -> Self {
         self.xi = xi;
         self
@@ -731,32 +744,36 @@ impl Report {
     /// rows (`exact[s_idx][v]`), ignoring unreachable and zero pairs. Only
     /// meaningful for [`Answer::DistanceRow`] / [`Answer::DistanceRows`].
     pub fn max_ratio_vs(&self, exact: &[Vec<Distance>]) -> f64 {
-        let rows: Vec<&[Distance]> = match &self.answer {
-            Answer::DistanceRow { dist, .. } => vec![dist.as_slice()],
-            Answer::DistanceRows { est, .. } => est.iter().map(|r| r.as_slice()).collect(),
-            _ => return 1.0,
-        };
-        let mut worst: f64 = 1.0;
-        for (row, erow) in rows.iter().zip(exact) {
-            for (&a, &e) in row.iter().zip(erow) {
-                if e == 0 || e == INFINITY || a == INFINITY {
-                    continue;
-                }
-                worst = worst.max(a as f64 / e as f64);
-            }
+        match &self.answer {
+            Answer::DistanceRow { dist, .. } => max_ratio(std::slice::from_ref(dist), exact),
+            Answer::DistanceRows { est, .. } => max_ratio(est, exact),
+            _ => 1.0,
         }
-        worst
     }
+}
+
+/// Worst ratio `est / exact` over the row pairs, ignoring unreachable and
+/// zero pairs (1 when there are none).
+pub(crate) fn max_ratio(est: &[Vec<Distance>], exact: &[Vec<Distance>]) -> f64 {
+    let mut worst: f64 = 1.0;
+    for (row, erow) in est.iter().zip(exact) {
+        for (&a, &e) in row.iter().zip(erow) {
+            if e == 0 || e == INFINITY || a == INFINITY {
+                continue;
+            }
+            worst = worst.max(a as f64 / e as f64);
+        }
+    }
+    worst
 }
 
 /// Runs `query` on `net`, deterministically in `seed`, and returns the
 /// uniform [`Report`].
 ///
-/// This is the front door over every paper algorithm; the legacy free
-/// functions it dispatches to are bit-for-bit unchanged, so
-/// `solve(Query::…)` and the corresponding direct call produce identical
-/// distances, rounds, and message counts (pinned by the equivalence suite in
-/// `tests/solver_equivalence.rs`).
+/// This is the cold front door over every paper algorithm: each call
+/// recomputes the shared preamble (skeleton, skeleton distances, nearby
+/// skeleton knowledge). A [`crate::session::Session`] serves bit-identical
+/// reports from preprocessing it keeps across queries.
 ///
 /// # Errors
 ///
@@ -853,10 +870,8 @@ fn run_query(
     let report = match query {
         Query::Apsp { variant, xi } => {
             let out = match variant {
-                ApspVariant::Thm11 => exact_apsp_prepared(net, ApspConfig { xi: *xi }, seed, prep)?,
-                ApspVariant::Soda20 => {
-                    exact_apsp_soda20_prepared(net, ApspConfig { xi: *xi }, seed, prep)?
-                }
+                ApspVariant::Thm11 => exact_apsp(net, *xi, seed, prep)?,
+                ApspVariant::Soda20 => exact_apsp_soda20(net, *xi, seed, prep)?,
                 ApspVariant::LocalFlood => apsp_local_only(net),
             };
             Report {
@@ -873,12 +888,11 @@ fn run_query(
             }
         }
         Query::Sssp { variant, source, xi } => {
-            let cfg = SsspConfig { xi: *xi };
             let out = match variant {
-                SsspVariant::Thm13 => exact_sssp_prepared(net, *source, cfg, seed, prep)?,
+                SsspVariant::Thm13 => exact_sssp(net, *source, *xi, seed, prep)?,
                 SsspVariant::LocalBellmanFord => sssp_local_bellman_ford(net, *source),
                 SsspVariant::ApproxSoda20 { eps } => {
-                    approx_sssp_soda20_prepared(net, *source, *eps, cfg, seed, prep)?
+                    approx_sssp_soda20(net, *source, *eps, *xi, seed, prep)?
                 }
             };
             let guarantee = if out.guaranteed_factor > 1.0 {
@@ -901,11 +915,10 @@ fn run_query(
         }
         Query::Kssp { cor, sources, eps, xi } => {
             let resolved = sources.resolve(net.n(), seed);
-            let cfg = KsspConfig { xi: *xi };
             let out = match cor {
-                KsspCorollary::Cor46 => kssp_cor46_prepared(net, &resolved, *eps, cfg, seed, prep)?,
-                KsspCorollary::Cor47 => kssp_cor47_prepared(net, &resolved, *eps, cfg, seed, prep)?,
-                KsspCorollary::Cor48 => kssp_cor48_prepared(net, &resolved, *eps, cfg, seed, prep)?,
+                KsspCorollary::Cor46 => kssp_cor46(net, &resolved, *eps, *xi, seed, prep)?,
+                KsspCorollary::Cor47 => kssp_cor47(net, &resolved, *eps, *xi, seed, prep)?,
+                KsspCorollary::Cor48 => kssp_cor48(net, &resolved, *eps, *xi, seed, prep)?,
             };
             let unweighted = net.graph().max_weight() == 1;
             let factor = out.guaranteed_factor(unweighted);
@@ -923,10 +936,9 @@ fn run_query(
             }
         }
         Query::Diameter { cor, eps, xi } => {
-            let cfg = DiameterConfig { xi: *xi };
             let out = match cor {
-                DiameterCorollary::Cor52 => diameter_cor52_prepared(net, *eps, cfg, seed, prep)?,
-                DiameterCorollary::Cor53 => diameter_cor53_prepared(net, *eps, cfg, seed, prep)?,
+                DiameterCorollary::Cor52 => diameter_cor52(net, *eps, *xi, seed, prep)?,
+                DiameterCorollary::Cor53 => diameter_cor53(net, *eps, *xi, seed, prep)?,
             };
             let factor = out.guaranteed_factor();
             Report {

@@ -13,9 +13,8 @@
 //!   distances `d_h`), [`apsp`].
 //! * [`skeleton`] — skeleton graphs à la Appendix C of the paper (and originally
 //!   Ullman & Yannakakis), with the sampling lemmas' invariants exposed for testing.
-//! * [`minplus`] — the shared blocked min-plus kernel (cache-tiled, branch-free,
-//!   thread-parallel row driver) behind the skeleton merges, the CLIQUE semiring
-//!   squaring, and eccentricity assembly.
+//! * [`minplus`] — the shared blocked min-plus kernel (cache-tiled, branch-free)
+//!   behind the skeleton merges and the CLIQUE semiring squaring.
 //! * [`lower_bounds`] — the two worst-case constructions of the paper:
 //!   the k-SSP path construction (Figure 1) and the set-disjointness diameter
 //!   construction `Γ^{a,b}_{k,ℓ,W}` (Figure 2).

@@ -1,20 +1,18 @@
 //! Blocked min-plus (tropical) matrix kernel.
 //!
-//! Three hand-rolled triple loops used to live in the protocol layers — the
-//! skeleton-label merge of the HYBRID APSP algorithms, the per-triple block
-//! product of the CLIQUE semiring squaring, and the eccentricity assembly of
-//! the diameter plugins. They are all instances of one operation:
+//! Hand-rolled triple loops used to live in the protocol layers — the
+//! skeleton-label merge of the HYBRID APSP algorithms and the per-triple block
+//! product of the CLIQUE semiring squaring. They are instances of one
+//! operation:
 //!
 //! ```text
 //! out[i][j] ← min(out[i][j], min_k a[i][k] + b[k][j])
 //! ```
 //!
 //! over the `(min, +)` semiring with [`INFINITY`] absorbing. This module is
-//! that operation, implemented once: a cache-tiled, branch-free inner loop
-//! ([`min_plus_into`]) and a thread-parallel row driver
-//! ([`par_min_plus_into`], worker count = `available_parallelism`, overridable
-//! with `HYBRID_MINPLUS_THREADS`). Results are exact minima, so they are
-//! bit-identical regardless of tiling or thread count.
+//! that operation, implemented once: a cache-tiled, branch-free,
+//! single-threaded inner loop ([`min_plus_into`]). Results are exact minima,
+//! so they are bit-identical regardless of tiling.
 
 use crate::dist::{Distance, INFINITY};
 
@@ -64,84 +62,6 @@ pub fn min_plus_into(
         }
         k0 = k1;
     }
-}
-
-/// Worker count for the parallel drivers: the smaller of the available cores
-/// (or the `HYBRID_MINPLUS_THREADS` override) and the row count.
-fn worker_count(rows: usize) -> usize {
-    let hw = std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1);
-    let configured = std::env::var("HYBRID_MINPLUS_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&t| t > 0);
-    configured.unwrap_or(hw).min(rows).max(1)
-}
-
-/// Output rows below which [`par_min_plus_into`] stays sequential (thread
-/// spawn costs more than the product).
-const PAR_MIN_ROWS: usize = 16;
-
-/// [`min_plus_into`] with the output rows partitioned across OS threads
-/// (`std::thread::scope`): thread `t` computes a contiguous band of `out`
-/// from the matching band of `a` and all of `b`. Exact minima make the result
-/// bit-identical to the sequential kernel.
-pub fn par_min_plus_into(
-    a: &[Distance],
-    b: &[Distance],
-    out: &mut [Distance],
-    rows: usize,
-    cols: usize,
-) {
-    let threads = worker_count(rows);
-    if threads <= 1 || rows < PAR_MIN_ROWS {
-        min_plus_into(a, b, out, rows, cols);
-        return;
-    }
-    let inner = a.len() / rows;
-    let chunk = rows.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (arows, orows) in a.chunks(chunk * inner).zip(out.chunks_mut(chunk * cols)) {
-            scope.spawn(move || {
-                min_plus_into(arows, b, orows, orows.len() / cols, cols);
-            });
-        }
-    });
-}
-
-/// Maps every row of the row-major `rows × cols` matrix `m` through `f`
-/// (receiving `(row index, row slice)`), in parallel bands of rows — the
-/// driver behind eccentricity assembly from a distance matrix. Results come
-/// back in row order.
-pub fn par_row_map<T, F>(m: &[Distance], rows: usize, cols: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, &[Distance]) -> T + Sync,
-{
-    assert_eq!(m.len(), rows * cols, "matrix must be rows × cols");
-    if cols == 0 {
-        return (0..rows).map(|i| f(i, &[])).collect();
-    }
-    let threads = worker_count(rows);
-    if threads <= 1 || rows < PAR_MIN_ROWS {
-        return m.chunks_exact(cols).enumerate().map(|(i, row)| f(i, row)).collect();
-    }
-    let chunk = rows.div_ceil(threads);
-    let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = m
-            .chunks(chunk * cols)
-            .enumerate()
-            .map(|(ci, band)| {
-                scope.spawn(move || {
-                    band.chunks_exact(cols)
-                        .enumerate()
-                        .map(|(j, row)| f(ci * chunk + j, row))
-                        .collect::<Vec<T>>()
-                })
-            })
-            .collect();
-        handles.into_iter().flat_map(|h| h.join().expect("min-plus worker panicked")).collect()
-    })
 }
 
 #[cfg(test)]
@@ -215,33 +135,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_driver_is_bit_identical() {
-        let (rows, inner, cols) = (97, 41, 53);
-        let a = scramble(rows, inner, 7);
-        let b = scramble(inner, cols, 8);
-        let seed = scramble(rows, cols, 9);
-        let mut seq = seed.clone();
-        min_plus_into(&a, &b, &mut seq, rows, cols);
-        let mut par = seed;
-        par_min_plus_into(&a, &b, &mut par, rows, cols);
-        assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn row_map_preserves_order() {
-        let m = scramble(40, 6, 11);
-        let eccs = par_row_map(&m, 40, 6, |i, row| (i, row.iter().copied().max().unwrap()));
-        for (i, &(idx, ecc)) in eccs.iter().enumerate() {
-            assert_eq!(idx, i);
-            assert_eq!(ecc, m[i * 6..(i + 1) * 6].iter().copied().max().unwrap());
-        }
-    }
-
-    #[test]
     fn empty_dimensions_are_noops() {
         let mut out: Vec<Distance> = Vec::new();
         min_plus_into(&[], &[], &mut out, 0, 0);
-        par_min_plus_into(&[], &[], &mut out, 0, 0);
-        assert!(par_row_map(&[], 0, 0, |_, _| 0u8).is_empty());
+        assert!(out.is_empty());
     }
 }

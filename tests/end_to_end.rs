@@ -7,12 +7,14 @@ use hybrid_shortest_paths::graph::apsp::apsp;
 use hybrid_shortest_paths::graph::bfs::unweighted_diameter;
 use hybrid_shortest_paths::graph::dijkstra::dijkstra;
 use hybrid_shortest_paths::graph::generators::{
-    barbell, caterpillar, erdos_renyi_connected, grid, random_geometric_connected, random_tree,
+    barabasi_albert, barbell, caterpillar, cycle, erdos_renyi_connected, grid,
+    random_geometric_connected, random_tree,
 };
 use hybrid_shortest_paths::graph::{Distance, Graph, NodeId};
+use hybrid_shortest_paths::scenarios::workloads::{er, random_nodes};
 use hybrid_shortest_paths::sim::{HybridConfig, HybridNet};
 use hybrid_shortest_paths::{
-    solve, ApspVariant, DiameterCorollary, Guarantee, KsspCorollary, Query, SsspVariant,
+    solve, Answer, ApspVariant, DiameterCorollary, Guarantee, KsspCorollary, Query, SsspVariant,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -112,6 +114,44 @@ fn kssp_guarantees_across_families() {
 }
 
 #[test]
+fn kssp_random_sources_match_the_registry_picker_and_meet_guarantee() {
+    // `random_sources(k)` resolves to the nodes the scenario registry picks
+    // with `workloads::random_nodes`, and every corollary's carried
+    // Theorem 4.1 factor bounds the measured stretch without underestimates.
+    let mut rng = StdRng::seed_from_u64(12);
+    let gs: Vec<(&str, Graph)> = vec![
+        ("er", er(80, 9.0, 4, 6)),
+        ("grid", grid(9, 9, 2).unwrap()),
+        ("ba", barabasi_albert(80, 3, 4, &mut rng).unwrap()),
+    ];
+    let (k, seed) = (4, 31);
+    for (name, g) in gs {
+        let sources = random_nodes(g.len(), k, seed);
+        let exact = apsp(&g);
+        let exact_rows: Vec<Vec<Distance>> =
+            sources.iter().map(|&s| exact.row(s).to_vec()).collect();
+        for cor in [KsspCorollary::Cor46, KsspCorollary::Cor47, KsspCorollary::Cor48] {
+            let query = Query::kssp(cor).random_sources(k).eps(0.5).xi(1.5).build().unwrap();
+            let mut net = HybridNet::new(&g, HybridConfig::default());
+            let report = solve(&mut net, &query, seed).unwrap();
+            let (got, est) = report.distance_rows().expect("rows answer");
+            assert_eq!(got, sources.as_slice(), "{name}/cor{}", cor.number());
+            for (row, erow) in est.iter().zip(&exact_rows) {
+                assert!(row.iter().zip(erow).all(|(a, e)| a >= e), "{name}: underestimate");
+            }
+            let ratio = report.max_ratio_vs(&exact_rows);
+            assert!(
+                ratio <= report.guarantee.factor() + 1e-9,
+                "{name}/cor{}: ratio {ratio} > {}",
+                cor.number(),
+                report.guarantee.factor()
+            );
+            assert_eq!(report.global_messages, net.metrics().global_messages, "{name}");
+        }
+    }
+}
+
+#[test]
 fn kssp_corollary46_source_capacity_and_guarantee() {
     let g = grid(10, 12, 1).unwrap();
     let sources = vec![NodeId::new(0), NodeId::new(59), NodeId::new(119)];
@@ -146,6 +186,33 @@ fn diameter_guarantees_across_unweighted_families() {
                 report.guarantee.factor()
             );
         }
+    }
+}
+
+#[test]
+fn diameter_guarantee_holds_on_both_branches() {
+    // On a 150-cycle at ξ = 1.2, Corollary 5.2's local horizon ηh stays
+    // below the diameter, so it answers D̃(S) + 2h from the skeleton, while
+    // Corollary 5.3's larger horizon sees the diameter locally. The carried
+    // Theorem 5.1 factor must bound the estimate on either branch.
+    let g = cycle(150, 1).unwrap();
+    let d = unweighted_diameter(&g);
+    for (cor, local) in [(DiameterCorollary::Cor52, false), (DiameterCorollary::Cor53, true)] {
+        let query = Query::diameter(cor).eps(0.5).xi(1.2).build().unwrap();
+        let mut net = HybridNet::new(&g, HybridConfig::default());
+        let report = solve(&mut net, &query, 5).unwrap();
+        let Answer::Diameter { estimate, exact_local } = report.answer else {
+            panic!("cor{}: diameter answer expected", cor.number());
+        };
+        assert_eq!(exact_local, local, "cor{}: branch", cor.number());
+        assert!(estimate >= d, "cor{}: undershoot", cor.number());
+        let ratio = estimate as f64 / d as f64;
+        assert!(
+            ratio <= report.guarantee.factor() + 1e-9,
+            "cor{}: ratio {ratio} > {}",
+            cor.number(),
+            report.guarantee.factor()
+        );
     }
 }
 

@@ -213,6 +213,37 @@ fn faulty_registry_scenarios_verify_under_the_lossy_contract() {
 }
 
 #[test]
+fn faulty_drop_apsp_solve_is_reproducible() {
+    // Under the registry's lossy drop plan a solve is a deterministic
+    // function of graph, plan and seed: two runs on fresh nets agree on the
+    // round clock, the dropped and delivered message counts, and the outcome
+    // (the same distances, or the same structured error).
+    let sc = scenarios::find("faulty-drop-apsp").expect("registered");
+    let g = sc.graph(48);
+    let query = sc.suite.query();
+    let run = || {
+        let mut net = sc.net(&g);
+        let out = solve(&mut net, &query, sc.seed);
+        let m = net.metrics();
+        (out, (net.rounds(), m.dropped_messages, m.global_messages))
+    };
+    let (first, clock) = run();
+    let (second, again) = run();
+    assert_eq!(clock, again, "round clock and message accounting must reproduce");
+    assert!(clock.1 > 0, "the lossy plan must fire");
+    match (first, second) {
+        (Ok(a), Ok(b)) => {
+            assert_eq!(a.rounds, b.rounds);
+            assert_eq!(a.dropped_messages, clock.1);
+            assert_eq!(a.guarantee, b.guarantee);
+            assert_eq!(a.distances().unwrap().as_flat(), b.distances().unwrap().as_flat());
+        }
+        (Err(a), Err(b)) => assert_eq!(a, b, "both runs must fail identically"),
+        (a, b) => panic!("outcome variants diverged: {a:?} vs {b:?}"),
+    }
+}
+
+#[test]
 fn skeleton_undersampling_degrades_gracefully() {
     // A skeleton whose h is far below the sampling gaps: the diameter
     // framework must not panic; it reports a (useless but safe) over-estimate,
