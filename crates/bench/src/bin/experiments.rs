@@ -15,6 +15,7 @@
 //! cargo run --release -p hybrid-bench --bin experiments -- --smoke --trace traces/
 //! cargo run --release -p hybrid-bench --bin experiments -- --serve
 //! cargo run --release -p hybrid-bench --bin experiments -- --serve --smoke
+//! cargo run --release -p hybrid-bench --bin experiments -- --serve --json
 //! cargo run --release -p hybrid-bench --bin experiments -- --help
 //! ```
 //!
@@ -49,11 +50,12 @@
 //!   into `BENCH_churn.json`.
 //! * `--serve` drives the multi-tenant broker with the closed-loop load
 //!   generator over registry workloads — including the `serve-chaos`
-//!   workload with faulty, crashing, and panicking tenants — and writes
-//!   `BENCH_serving.json` (schema `hybrid-bench/serving-v2`: latency
-//!   percentiles, saturation qps, shed rate, cache counters, plus retry,
-//!   deadline, breaker, quarantine, and degradation counters). With
-//!   `--smoke` it runs the short small-scale loop and exits non-zero on any
+//!   workload with faulty, crashing, and panicking tenants — and prints the
+//!   serving record (schema `hybrid-bench/serving-v2`: latency percentiles,
+//!   saturation qps, shed rate, cache counters, plus retry, deadline,
+//!   breaker, quarantine, and degradation counters). With `--json` it also
+//!   writes that record to `BENCH_serving.json`; without it no file is
+//!   touched, like every other mode. With `--smoke` it runs the short small-scale loop and exits non-zero on any
 //!   bit-identity mismatch (which is also how corruption that slipped past
 //!   the checksums would surface), request-accounting hole, breaker
 //!   accounting leak, missing degraded service under chaos, or schema
@@ -68,7 +70,7 @@ use hybrid_scenarios::{registry, Engine};
 const USAGE: &str = "\
 usage: experiments [--small | --large] [--json] [--filter TAG] [EXPERIMENT...]
        experiments --smoke [--via-session] [--filter TAG] [--trace DIR] [--json]
-       experiments --serve [--small | --large | --smoke]
+       experiments --serve [--small | --large | --smoke] [--json]
        experiments --trace DIR
        experiments --list
        experiments --help
@@ -183,19 +185,15 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
     }
     // `--serve`: the closed-loop broker sweep is its own mode; every flag it
     // doesn't consult (experiment ids, --trace, --filter, --via-session,
-    // --list, --json — it always writes its JSON) must error, not silently
-    // do nothing.
+    // --list) must error, not silently do nothing.
     if opts.serve
         && (!opts.wanted.is_empty()
             || opts.trace_dir.is_some()
             || opts.filter.is_some()
             || opts.list
-            || opts.emit_json
             || opts.engine != Engine::Fresh)
     {
-        return Err("--serve combines only with --small/--large/--smoke; it always writes \
-                    BENCH_serving.json"
-            .into());
+        return Err("--serve combines only with --small/--large/--smoke/--json".into());
     }
     // `--trace` without `--smoke` is its own mode (trace the E2 workload plus
     // one chaos scenario, then exit); experiment ids or `--json` alongside it
@@ -242,11 +240,13 @@ fn main() {
             Scale::Full => "full",
             Scale::Large => "large",
         };
-        eprintln!("running closed-loop serving sweep for BENCH_serving.json...");
+        eprintln!("running closed-loop serving sweep...");
         let records = ex::bench_serving_records(serve_scale);
         let doc = json::render_with_schema(json::SCHEMA_SERVING, scale_name, &records);
-        std::fs::write("BENCH_serving.json", &doc).expect("write BENCH_serving.json");
-        eprintln!("wrote BENCH_serving.json:");
+        if emit_json {
+            std::fs::write("BENCH_serving.json", &doc).expect("write BENCH_serving.json");
+            eprintln!("wrote BENCH_serving.json:");
+        }
         print!("{doc}");
         ex::serving_table(&records).print();
         // The serving gate: bit-identity must hold for every response (a
@@ -339,7 +339,7 @@ fn main() {
             "\"degraded_served\"",
         ] {
             if !doc.contains(field) {
-                violations.push(format!("BENCH_serving.json schema violation: missing {field}"));
+                violations.push(format!("serving-v2 schema violation: missing {field}"));
             }
         }
         if !violations.is_empty() {
@@ -553,9 +553,34 @@ mod tests {
     #[test]
     fn unconsulted_flags_are_rejected() {
         assert!(parse(&["--via-session"]).is_err());
-        assert!(parse(&["--serve", "--json"]).is_err());
         assert!(parse(&["--trace", "t", "e2"]).is_err());
         assert!(parse(&["--json", "--filter", "chaos"]).is_err());
         assert!(parse(&["--filter"]).is_err());
+    }
+
+    #[test]
+    fn serve_writes_its_record_only_under_json() {
+        let Ok(Command::Run(opts)) = parse(&["--serve", "--smoke", "--json"]) else {
+            panic!("--serve --json rejected");
+        };
+        assert!(opts.serve && opts.smoke && opts.emit_json);
+        let Ok(Command::Run(opts)) = parse(&["--serve", "--smoke"]) else {
+            panic!("--serve --smoke rejected");
+        };
+        assert!(!opts.emit_json, "the CI smoke must not rewrite BENCH_serving.json");
+    }
+
+    #[test]
+    fn serve_rejects_the_flags_it_does_not_consult() {
+        for extra in [
+            &["e2"][..],
+            &["--trace", "t"],
+            &["--filter", "chaos"],
+            &["--list"],
+            &["--smoke", "--via-session"],
+        ] {
+            let args: Vec<&str> = ["--serve", "--json"].iter().chain(extra).copied().collect();
+            assert!(parse(&args).is_err(), "{args:?} accepted");
+        }
     }
 }

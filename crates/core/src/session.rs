@@ -17,7 +17,10 @@
 //!   mixed batch prepares far fewer skeletons than it runs queries.
 //! * **Repeat serving.** A query already answered under this session's seed
 //!   is served from the report memo without re-running the protocol at all —
-//!   the steady state of a serving workload where hot queries repeat.
+//!   the steady state of a serving workload where hot queries repeat. A hit
+//!   hands out the memoized APSP matrix itself (it sits behind an `Arc` in
+//!   [`crate::solver::Answer::Distances`]), so its cost does not grow with
+//!   n².
 //! * **Batching.** [`Session::solve_batch`] dedups repeated queries and
 //!   shards the distinct ones over scoped worker threads (the scenario
 //!   runner's pool pattern); answers are deterministic and order-preserving.
@@ -409,8 +412,10 @@ impl Session {
     }
 
     /// Serves a batch of independent queries, returning one result per input
-    /// in order. Repeated queries are deduplicated (solved once, answers
-    /// cloned) and the distinct ones are sharded over scoped worker threads
+    /// in order. Repeated queries are deduplicated (solved once; every repeat
+    /// gets a clone of the report that shares its APSP matrix with the first
+    /// answer and the memo, so no n² copy is made) and the distinct ones are
+    /// sharded over scoped worker threads
     /// (`HYBRID_SESSION_THREADS` overrides the worker count). Every answer
     /// is bit-identical to solving the batch sequentially. On a faulty
     /// session dedup is disabled along with every other cache: each input
@@ -646,6 +651,45 @@ mod tests {
             ..SessionConfig::new(1)
         };
         assert!(matches!(Session::new(&g, cfg).unwrap_err(), HybridError::Sim(_)));
+    }
+
+    /// The APSP matrix a report carries, as the shared handle.
+    fn shared_matrix(r: &Report) -> &Arc<hybrid_graph::apsp::DistanceMatrix> {
+        match &r.answer {
+            crate::solver::Answer::Distances(m) => m,
+            _ => panic!("not an APSP answer"),
+        }
+    }
+
+    #[test]
+    fn memo_hits_and_batch_repeats_share_the_memoized_matrix() {
+        let g = grid(6, 6, 1).unwrap();
+        let q = Query::apsp().build().unwrap();
+        let memoized = |s: &Session| {
+            let memo = s.reports.lock().unwrap();
+            Arc::clone(shared_matrix(&memo[&(s.epoch, query_key(&q))]))
+        };
+        let session = Session::new(&g, SessionConfig::new(4)).unwrap();
+        let first = session.solve(&q).unwrap();
+        let memo = memoized(&session);
+        assert!(Arc::ptr_eq(shared_matrix(&first), &memo), "the memo keeps the solved matrix");
+        for _ in 0..2 {
+            let hit = session.solve(&q).unwrap();
+            assert!(Arc::ptr_eq(shared_matrix(&hit), &memo), "a memo hit must not copy");
+        }
+        // Batch dedup repeats on a fresh session: one solve, every repeat
+        // shares its matrix, which is also the one memoized.
+        let fresh = Session::new(&g, SessionConfig::new(4)).unwrap();
+        let batch = fresh.solve_batch(&[q.clone(), q.clone(), q.clone()]);
+        let memo = memoized(&fresh);
+        assert_eq!(fresh.stats().report_hits, 2);
+        for r in &batch {
+            assert!(Arc::ptr_eq(shared_matrix(r.as_ref().unwrap()), &memo));
+        }
+        // A batch served from the memo shares it too.
+        for r in fresh.solve_batch(&[q.clone(), q.clone()]) {
+            assert!(Arc::ptr_eq(shared_matrix(&r.unwrap()), &memo));
+        }
     }
 
     #[test]

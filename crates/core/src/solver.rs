@@ -44,6 +44,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::apsp::{apsp_local_only, exact_apsp, exact_apsp_soda20};
 use crate::diameter::{diameter_cor52, diameter_cor53};
@@ -555,10 +556,16 @@ impl DiameterQueryBuilder {
 }
 
 /// The typed payload of a [`Report`].
+///
+/// Cloning an answer is cheap for the n×n case: the APSP matrix sits behind
+/// an [`Arc`], so a memo hit, a batch dedup repeat and a broker response
+/// share the one matrix the solve produced instead of copying n² entries.
+/// The row payloads are owned; they cost O(n) to clone.
 #[derive(Debug, Clone)]
 pub enum Answer {
-    /// A full distance matrix (APSP queries).
-    Distances(DistanceMatrix),
+    /// A full distance matrix (APSP queries), shared between every clone of
+    /// the report.
+    Distances(Arc<DistanceMatrix>),
     /// One distance vector (SSSP queries).
     DistanceRow {
         /// The source.
@@ -711,7 +718,7 @@ impl Report {
     /// The distance matrix, for APSP reports.
     pub fn distances(&self) -> Option<&DistanceMatrix> {
         match &self.answer {
-            Answer::Distances(m) => Some(m),
+            Answer::Distances(m) => Some(m.as_ref()),
             _ => None,
         }
     }
@@ -876,7 +883,7 @@ fn run_query(
             };
             Report {
                 query: query.clone(),
-                answer: Answer::Distances(out.dist),
+                answer: Answer::Distances(Arc::new(out.dist)),
                 guarantee: Guarantee::Exact,
                 rounds: out.rounds,
                 global_messages: 0,
@@ -979,7 +986,7 @@ fn degraded_report(
         Query::Apsp { .. } => {
             let out = apsp_local_only(net);
             (
-                Answer::Distances(out.dist),
+                Answer::Distances(Arc::new(out.dist)),
                 "apsp-local-flood",
                 out.skeleton_size,
                 out.h,

@@ -298,6 +298,7 @@ pub fn check_error(err: &HybridError, contract: Contract, dropped_messages: u64)
 mod tests {
     use super::*;
     use hybrid_graph::generators::path;
+    use std::sync::Arc;
 
     #[test]
     fn strict_matrix_detects_inexactness_and_underestimates() {
@@ -378,7 +379,7 @@ mod tests {
         // contract.
         let mut bad = report.clone();
         if let Answer::Distances(m) = &mut bad.answer {
-            m.set(NodeId::new(0), NodeId::new(5), 1);
+            Arc::make_mut(m).set(NodeId::new(0), NodeId::new(5), 1);
         }
         assert_eq!(check_report(&g, &bad, Contract::Strict).verdict, Verdict::Fail);
 
@@ -442,7 +443,7 @@ mod tests {
         // overestimate fails even under the lossy contract.
         let mut bad = degraded.clone();
         if let Answer::Distances(m) = &mut bad.answer {
-            m.set(NodeId::new(0), NodeId::new(5), 100);
+            Arc::make_mut(m).set(NodeId::new(0), NodeId::new(5), 100);
         }
         assert_eq!(check_report(&g, &bad, Contract::Lossy).verdict, Verdict::Fail);
     }

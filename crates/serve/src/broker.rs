@@ -20,32 +20,88 @@ use hybrid_sim::{FaultPlan, HybridConfig, HybridNet};
 pub const MIN_ENTRY_BYTES: usize = 1024;
 
 // ---------------------------------------------------------------------------
-// FNV-1a digests
+// Word-lane digests
 // ---------------------------------------------------------------------------
 
-/// Incremental FNV-1a (64-bit) — the broker's stable digest over graphs and
-/// reports. Not cryptographic; collision resistance is irrelevant because the
-/// cold reference is computed from the same query on the same graph.
-struct Fnv(u64);
+/// Odd multiplier of [`lane_step`] (the 64-bit golden ratio).
+const DIGEST_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
 
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
+/// Initial state of a [`WordDigest`].
+const DIGEST_SEED: u64 = 0x4528_21e6_38d0_1377;
 
-    fn bytes(&mut self, data: &[u8]) {
-        for &b in data {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+/// Initial states of the four lanes of [`WordDigest::words`]; distinct, so a
+/// word landing in another lane hashes differently.
+const LANE_SEEDS: [u64; 4] =
+    [0x243f_6a88_85a3_08d3, 0x1319_8a2e_0370_7344, 0xa409_3822_299f_31d0, 0x082e_fa98_ec4e_6c89];
+
+/// One absorbing step: xor the word in, multiply, then fold the high half
+/// down. The multiply moves input bits only upward, so without the xorshift
+/// a bit-63 difference stays in bit 63 and two of them cancel; with it every
+/// bit reaches the low half and the next multiply spreads it again. Each
+/// step is a bijection in both the state and the word, so changing a single
+/// word always changes the digest.
+#[inline]
+fn lane_step(state: u64, word: u64) -> u64 {
+    let x = (state ^ word).wrapping_mul(DIGEST_MUL);
+    x ^ (x >> 29)
+}
+
+/// The four lane states after absorbing `data`, word `i` into lane `i % 4`.
+fn lanes(data: &[u64]) -> [u64; 4] {
+    let mut lanes = LANE_SEEDS;
+    let mut chunks = data.chunks_exact(4);
+    for c in &mut chunks {
+        for (lane, &w) in lanes.iter_mut().zip(c) {
+            *lane = lane_step(*lane, w);
         }
     }
+    for (lane, &w) in lanes.iter_mut().zip(chunks.remainder()) {
+        *lane = lane_step(*lane, w);
+    }
+    lanes
+}
 
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
+/// The broker's stable 64-bit digest over graphs and reports, absorbing
+/// `u64` words. Bulk payloads go through [`WordDigest::words`]: the slice
+/// length first, then the words dealt round-robin over four independent
+/// lanes (so the CPU overlaps four multiply chains), then the lanes folded
+/// into the state in lane order. Not cryptographic; collision resistance is
+/// irrelevant because the cold reference is computed from the same query on
+/// the same graph.
+struct WordDigest(u64);
+
+impl WordDigest {
+    fn new() -> Self {
+        WordDigest(DIGEST_SEED)
+    }
+
+    fn word(&mut self, w: u64) {
+        self.0 = lane_step(self.0, w);
     }
 
     fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
+        self.word(v as u64);
+    }
+
+    /// A length-prefixed slice of words, hashed in four lanes. The prefix
+    /// is what tells a slice from one extended by the word that maps its
+    /// lane's state to itself.
+    fn words(&mut self, data: &[u64]) {
+        self.usize(data.len());
+        for lane in lanes(data) {
+            self.word(lane);
+        }
+    }
+
+    /// A length-prefixed byte string, absorbed as little-endian words
+    /// (the last one zero-padded).
+    fn bytes(&mut self, data: &[u8]) {
+        self.usize(data.len());
+        for chunk in data.chunks(8) {
+            let mut w = [0u8; 8];
+            w[..chunk.len()].copy_from_slice(chunk);
+            self.word(u64::from_le_bytes(w));
+        }
     }
 
     fn finish(&self) -> u64 {
@@ -57,12 +113,13 @@ impl Fnv {
 /// — one component of the broker's session-cache key. Two graphs with equal
 /// fingerprints are treated as the same preprocessing domain.
 pub fn graph_fingerprint(g: &Graph) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = WordDigest::new();
     h.usize(g.len());
+    h.usize(g.num_edges());
     for e in g.edges() {
-        h.u64(u64::from(e.u.raw()));
-        h.u64(u64::from(e.v.raw()));
-        h.u64(e.w);
+        h.word(u64::from(e.u.raw()));
+        h.word(u64::from(e.v.raw()));
+        h.word(e.w);
     }
     h.finish()
 }
@@ -72,62 +129,67 @@ pub fn graph_fingerprint(g: &Graph) -> u64 {
 /// bill. Phase attributions are excluded, exactly like the session-equivalence
 /// tests — they describe *where* rounds went, and their sum is already pinned
 /// by [`Report::rounds`].
+///
+/// Scheme: every field is absorbed as `u64` words, one multiply-xorshift
+/// step per word (labels as length-prefixed little-endian words). Each
+/// distance vector — the flat APSP matrix, an SSSP row, each k-SSP row — is
+/// absorbed as its length followed by its entries dealt round-robin over
+/// four independent lanes, which are then folded in lane order; the lanes
+/// let the CPU overlap four multiply chains, so an n = 800 matrix digests in
+/// well under a millisecond. The broker computes the digest from the served
+/// report on every response — memo hits included; there is no digest cache
+/// — and compares it with the cold referee's digest.
 pub fn report_digest(r: &Report) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = WordDigest::new();
     h.bytes(r.label().as_bytes());
-    h.u64(r.rounds);
-    h.u64(r.global_messages);
-    h.u64(r.dropped_messages);
+    h.word(r.rounds);
+    h.word(r.global_messages);
+    h.word(r.dropped_messages);
     h.usize(r.skeleton_size);
     h.usize(r.h);
     h.usize(r.coverage_fallbacks);
     match &r.guarantee {
-        Guarantee::Exact => h.u64(1),
+        Guarantee::Exact => h.word(1),
         Guarantee::Stretch { factor } => {
-            h.u64(2);
-            h.u64(factor.to_bits());
+            h.word(2);
+            h.word(factor.to_bits());
         }
         Guarantee::DiameterFactor { factor } => {
-            h.u64(3);
-            h.u64(factor.to_bits());
+            h.word(3);
+            h.word(factor.to_bits());
         }
         Guarantee::Degraded { from, to, cause } => {
-            h.u64(4);
+            h.word(4);
             h.bytes(from.as_bytes());
             h.bytes(to.as_bytes());
-            h.bytes(cause.to_string().as_bytes());
+            h.bytes(cause.label().as_bytes());
         }
     }
     match &r.answer {
         Answer::Distances(m) => {
-            h.u64(10);
-            for &d in m.as_flat() {
-                h.u64(d);
-            }
+            h.word(10);
+            h.words(m.as_flat());
         }
         Answer::DistanceRow { source, dist } => {
-            h.u64(11);
-            h.u64(u64::from(source.raw()));
-            for &d in dist {
-                h.u64(d);
-            }
+            h.word(11);
+            h.word(u64::from(source.raw()));
+            h.words(dist);
         }
         Answer::DistanceRows { sources, est } => {
-            h.u64(12);
+            h.word(12);
+            h.usize(sources.len());
             for s in sources {
-                h.u64(u64::from(s.raw()));
+                h.word(u64::from(s.raw()));
             }
+            h.usize(est.len());
             for row in est {
-                h.usize(row.len());
-                for &d in row {
-                    h.u64(d);
-                }
+                h.words(row);
             }
         }
         Answer::Diameter { estimate, exact_local } => {
-            h.u64(13);
-            h.u64(*estimate);
-            h.u64(u64::from(*exact_local));
+            h.word(13);
+            h.word(*estimate);
+            h.word(u64::from(*exact_local));
         }
     }
     h.finish()
@@ -1419,4 +1481,208 @@ pub struct UpdateOutcome {
     /// Preambles that took the full re-prepare fallback, summed over those
     /// sessions.
     pub full: usize,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hybrid_core::solver::KsspCorollary;
+    use hybrid_graph::apsp::DistanceMatrix;
+    use hybrid_graph::generators::path;
+    use hybrid_graph::NodeId;
+
+    const BIT63: u64 = 1 << 63;
+
+    /// A solved APSP report on a weighted path (`dist(i, j) = |i − j|`), the
+    /// header every constructed answer below is digested under.
+    fn apsp_report(n: usize) -> Report {
+        let g = path(n, 1).unwrap();
+        let mut net = HybridNet::new(&g, HybridConfig::default());
+        solve(&mut net, &Query::apsp().build().unwrap(), 3).unwrap()
+    }
+
+    fn digest_of(base: &Report, answer: Answer) -> u64 {
+        report_digest(&Report { answer, ..base.clone() })
+    }
+
+    fn matrix(base: &Report) -> DistanceMatrix {
+        base.distances().expect("APSP report").clone()
+    }
+
+    /// `row` with `edit` applied to a copy.
+    fn edited(row: &[u64], edit: impl FnOnce(&mut Vec<u64>)) -> Vec<u64> {
+        let mut r = row.to_vec();
+        edit(&mut r);
+        r
+    }
+
+    /// `row` extended by the one word that leaves the lanes as they were.
+    /// Each step is a bijection in its word, so for the next lane's state
+    /// `s` exactly one word `s ⊕ (unshift(s) · DIGEST_MUL⁻¹)` maps `s` to
+    /// itself; only the length prefix tells the two slices apart.
+    fn with_lane_fixed_point(row: &[u64]) -> Vec<u64> {
+        let s = lanes(row)[row.len() % 4];
+        let unshift = s ^ (s >> 29) ^ (s >> 58);
+        let mut inv = DIGEST_MUL;
+        for _ in 0..5 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(DIGEST_MUL.wrapping_mul(inv)));
+        }
+        edited(row, |r| r.push(s ^ unshift.wrapping_mul(inv)))
+    }
+
+    /// `row` with bit 63 flipped in entries `i` and `j`.
+    fn flip_bit63(row: &[u64], i: usize, j: usize) -> Vec<u64> {
+        edited(row, |r| {
+            r[i] ^= BIT63;
+            r[j] ^= BIT63;
+        })
+    }
+
+    /// Edits every sensitivity test applies to a flat distance vector of at
+    /// least 10 entries with `v[1]` unequal to `v[2]` and `v[9]`: one entry
+    /// changed; two entries swapped, in different lanes (1, 2) and in one
+    /// lane (1, 9); bit 63 flipped in two entries, in different lanes (1, 2),
+    /// in one lane at consecutive lane positions (1, 5) and further apart
+    /// (1, 9).
+    fn entry_edits(v: &[u64]) -> Vec<(&'static str, Vec<u64>)> {
+        assert!(v[1] != v[2] && v[1] != v[9], "swaps must move distinct values");
+        vec![
+            ("one entry changed", edited(v, |r| r[3] += 1)),
+            ("swap across lanes", edited(v, |r| r.swap(1, 2))),
+            ("swap within a lane", edited(v, |r| r.swap(1, 9))),
+            ("bit 63 across lanes", flip_bit63(v, 1, 2)),
+            ("bit 63, adjacent in a lane", flip_bit63(v, 1, 5)),
+            ("bit 63 within a lane", flip_bit63(v, 1, 9)),
+        ]
+    }
+
+    fn assert_all_differ(base: u64, variants: &[(&str, u64)], kind: &str) {
+        for (what, d) in variants {
+            assert_ne!(*d, base, "{kind}: {what} left the digest unchanged");
+        }
+    }
+
+    #[test]
+    fn matrix_digest_sees_every_entry_edit_and_ignores_sharing() {
+        let base = apsp_report(6);
+        let m = matrix(&base);
+        let d0 = report_digest(&base);
+        let variants: Vec<(&str, u64)> = entry_edits(m.as_flat())
+            .into_iter()
+            .map(|(what, flat)| {
+                let mut e = m.clone();
+                e.as_flat_mut().copy_from_slice(&flat);
+                (what, digest_of(&base, Answer::Distances(Arc::new(e))))
+            })
+            .collect();
+        assert_all_differ(d0, &variants, "Distances");
+        // A square matrix fixes its row length by its entry count, so the
+        // row-length case is a size change over the same path metric.
+        let smaller = apsp_report(5);
+        assert_ne!(digest_of(&base, Answer::Distances(Arc::new(matrix(&smaller)))), d0);
+        // Sharing is invisible: the shared matrix and a deep copy digest alike.
+        let shared = base.clone();
+        let (Answer::Distances(a), Answer::Distances(b)) = (&shared.answer, &base.answer) else {
+            unreachable!("APSP reports");
+        };
+        assert!(Arc::ptr_eq(a, b));
+        assert_eq!(report_digest(&shared), d0);
+        assert_eq!(digest_of(&base, Answer::Distances(Arc::new(m))), d0);
+    }
+
+    #[test]
+    fn row_digest_sees_every_entry_edit_and_length_change() {
+        let base = apsp_report(6);
+        let row: Vec<u64> = (0..12).collect();
+        let answer = |dist: Vec<u64>| Answer::DistanceRow { source: NodeId::new(0), dist };
+        let d0 = digest_of(&base, answer(row.clone()));
+        let mut variants: Vec<(&str, u64)> = entry_edits(&row)
+            .into_iter()
+            .map(|(what, dist)| (what, digest_of(&base, answer(dist))))
+            .collect();
+        variants.push(("entry dropped", digest_of(&base, answer(row[..11].to_vec()))));
+        variants.push(("zero appended", digest_of(&base, answer(edited(&row, |r| r.push(0))))));
+        variants.push((
+            "lane fixed point appended",
+            digest_of(&base, answer(with_lane_fixed_point(&row))),
+        ));
+        assert_all_differ(d0, &variants, "DistanceRow");
+    }
+
+    #[test]
+    fn rows_digest_sees_every_entry_edit_and_regrouping() {
+        let base = apsp_report(6);
+        let flat: Vec<u64> = (0..12).collect();
+        let sources = vec![NodeId::new(0), NodeId::new(1)];
+        let answer =
+            |sources: Vec<NodeId>, est: Vec<Vec<u64>>| Answer::DistanceRows { sources, est };
+        let split = |v: &[u64], at: usize| vec![v[..at].to_vec(), v[at..].to_vec()];
+        let d0 = digest_of(&base, answer(sources.clone(), split(&flat, 6)));
+        let mut variants: Vec<(&str, u64)> = entry_edits(&flat)
+            .into_iter()
+            .map(|(what, v)| (what, digest_of(&base, answer(sources.clone(), split(&v, 6)))))
+            .collect();
+        // The same flat contents regrouped into rows of other lengths.
+        variants
+            .push(("rows regrouped", digest_of(&base, answer(sources.clone(), split(&flat, 5)))));
+        variants.push(("one row", digest_of(&base, answer(sources.clone(), vec![flat.clone()]))));
+        let mut grown = split(&flat, 6);
+        grown[0] = with_lane_fixed_point(&grown[0]);
+        variants
+            .push(("lane fixed point appended", digest_of(&base, answer(sources.clone(), grown))));
+        // The source list and the first row share a boundary too: (0, 1 | 0 ..)
+        // against (0 | 1, 0 ..) absorbs the same ids and entries in order.
+        let mut shifted = split(&flat, 6);
+        shifted[0].insert(0, 1);
+        variants.push((
+            "source moved into a row",
+            digest_of(&base, answer(vec![NodeId::new(0)], shifted)),
+        ));
+        assert_all_differ(d0, &variants, "DistanceRows");
+    }
+
+    #[test]
+    fn word_slices_are_length_prefixed() {
+        let digest = |parts: &[&[u64]]| {
+            let mut h = WordDigest::new();
+            for p in parts {
+                h.words(p);
+            }
+            h.finish()
+        };
+        let whole = digest(&[&[1, 2, 3, 4, 5]]);
+        assert_ne!(whole, digest(&[&[1, 2], &[3, 4, 5]]));
+        assert_ne!(digest(&[&[1, 2], &[3, 4, 5]]), digest(&[&[1, 2, 3], &[4, 5]]));
+        assert_ne!(digest(&[&[], &[1]]), digest(&[&[1], &[]]));
+        let row: Vec<u64> = (10..15).collect();
+        let longer = with_lane_fixed_point(&row);
+        assert_eq!(lanes(&longer), lanes(&row), "fixed-point word");
+        assert_ne!(digest(&[&longer]), digest(&[&row]));
+    }
+
+    #[test]
+    fn broker_repeats_share_the_session_memo_matrix() {
+        let mut catalog = GraphCatalog::new();
+        catalog.insert("p", path(12, 1).unwrap());
+        let broker = Broker::new(&catalog, BrokerConfig::new(5));
+        broker.register_tenant("t", TenantConfig::new(4)).unwrap();
+        let q = Query::apsp().build().unwrap();
+        let req = Request::new("t", "p", q.clone());
+        let first = broker.serve(&req).unwrap();
+        let again = broker.serve(&req).unwrap();
+        assert!(again.verified && again.session_hit);
+        let entry = Arc::clone(broker.lru.lock().unwrap().values().next().expect("resident"));
+        let memo = entry.session.solve(&q).unwrap();
+        for resp in [&first, &again] {
+            let (Answer::Distances(served), Answer::Distances(memo)) =
+                (&resp.report.answer, &memo.answer)
+            else {
+                panic!("APSP answers expected");
+            };
+            assert!(Arc::ptr_eq(served, memo), "a broker response must share the memo's matrix");
+        }
+        // The k-SSP path still digests and verifies (owned rows).
+        let kq = Query::kssp(KsspCorollary::Cor46).random_sources(2).build().unwrap();
+        assert!(broker.serve(&Request::new("t", "p", kq)).unwrap().verified);
+    }
 }

@@ -32,7 +32,12 @@
 //!   compared against a memoized *cold* solve of the same request — answers,
 //!   guarantees, and the simulated round bill are bit-identical by contract;
 //!   only wall-clock latency is nondeterministic. This holds for faulty
-//!   tenants too.
+//!   tenants too. The served side's [`report_digest`] is recomputed from the
+//!   served report on every response (no digest cache): all fields as `u64`
+//!   words through a multiply-xorshift step, each distance vector
+//!   length-prefixed and dealt over four independent lanes folded in lane
+//!   order. A memo hit hands out the session's APSP matrix behind an `Arc`,
+//!   so a repeat reply copies no n² payload.
 //! * **Wire protocol.** One request line in, one response line out
 //!   ([`protocol`]), served in-process ([`Broker::serve_line`]) and over TCP
 //!   ([`tcp::serve_tcp`] — length-capped framing, graceful
